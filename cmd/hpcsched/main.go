@@ -142,12 +142,33 @@ func main() {
 func runValidate(args []string) {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "simulation seed")
+	minPass := fs.Int("min-pass", 0, "exit 1 when fewer than this many checks pass (the no-regression floor)")
 	parseFlags(fs, args)
 	checks := experiments.Validate(*seed)
 	fmt.Print(experiments.FormatValidation(checks))
-	if experiments.ValidationPassRate(checks) < 0.85 {
+	if err := validationVerdict(checks, *minPass); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
+}
+
+// validationVerdict fails a validation run that passes fewer than 85% of
+// the checks or fewer than minPass of them.
+func validationVerdict(checks []experiments.Check, minPass int) error {
+	passed := 0
+	for _, c := range checks {
+		if c.Pass {
+			passed++
+		}
+	}
+	if passed < minPass {
+		return fmt.Errorf("validate: %d/%d checks passed, below the -min-pass floor of %d",
+			passed, len(checks), minPass)
+	}
+	if experiments.ValidationPassRate(checks) < 0.85 {
+		return fmt.Errorf("validate: %d/%d checks passed, below 85%%", passed, len(checks))
+	}
+	return nil
 }
 
 func runCalibrate() {

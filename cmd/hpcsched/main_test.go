@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"hpcsched/internal/experiments"
+)
 
 func TestModeFromName(t *testing.T) {
 	for name, ok := range map[string]bool{
@@ -28,5 +33,30 @@ func TestTableWorkloadMapping(t *testing.T) {
 		if got := tableWorkload(cmd); got != want {
 			t.Errorf("tableWorkload(%q) = %q, want %q", cmd, got, want)
 		}
+	}
+}
+
+func TestValidationVerdict(t *testing.T) {
+	checks := make([]experiments.Check, 20)
+	for i := 0; i < 18; i++ {
+		checks[i].Pass = true // 18/20 = 90%
+	}
+	for _, tc := range []struct {
+		minPass int
+		fail    string
+	}{
+		{0, ""}, {18, ""}, {19, "-min-pass floor of 19"},
+	} {
+		err := validationVerdict(checks, tc.minPass)
+		if tc.fail == "" && err != nil {
+			t.Errorf("min-pass %d: %v, want pass", tc.minPass, err)
+		}
+		if tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)) {
+			t.Errorf("min-pass %d: %v, want an error containing %q", tc.minPass, err, tc.fail)
+		}
+	}
+	checks[17].Pass, checks[16].Pass = false, false // 16/20 = 80%
+	if err := validationVerdict(checks, 0); err == nil || !strings.Contains(err.Error(), "85%") {
+		t.Errorf("80%% pass rate: %v, want the 85%% error", err)
 	}
 }

@@ -45,6 +45,20 @@
 // Config.FloorPacing restores the clock+floor cadence; the simulation is
 // byte-identical either way.
 //
+// Under EOT/EIT pacing windows are also demand-driven: a node runs a
+// window only when it is DUE — when its next pending event or earliest
+// staged arrival falls at or before EIT_i − 1, so the window fires or
+// injects at least one event. Every event anywhere raises the peers' EITs
+// a little; a node that merely could advance its clock does not, and a
+// not-due visit costs the EIT scan plus O(1): drain (skipped outright
+// while the node's inbound count is zero) and republish the bound (the
+// out-queue scan skipped while no fire cap is armed). Two visits always run: a node with
+// a cross-node send deferred behind a compute (its bound is its clock,
+// which only a window advances) and a window reaching the run horizon.
+// If pacing ever leaves no shard able to advance, the run aborts with a
+// *StallError dumping every node's synchronisation state instead of
+// hanging.
+//
 // Determinism is the headline property: the event sequence of every node —
 // and therefore timelines, traces and fault logs — is byte-identical at any
 // shard count. Cross-node deliveries are injected by a window-invariant
@@ -56,6 +70,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -166,6 +181,54 @@ func (e *InterruptError) Error() string {
 
 func (e *InterruptError) Unwrap() error { return e.Cause }
 
+// StallError reports a run in which no shard could make progress: every
+// live shard parked with no peer left to wake it. Conservative pacing
+// cannot stall on a correct protocol — a workload deadlock drains every
+// engine and caps at the horizon instead — so a stall is a pacing bug, and
+// Nodes holds each node's synchronisation state at the moment it was
+// detected.
+type StallError struct {
+	Nodes []NodeState
+}
+
+// NodeState is one node's synchronisation state in a *StallError.
+type NodeState struct {
+	Node int
+	Done bool
+	// Now is the engine clock, NextEvent its earliest pending event.
+	Now, NextEvent sim.Time
+	// EOT is the node's published coverage bound, EIT its earliest input
+	// time over every peer's bound.
+	EOT, EIT sim.Time
+	// PendingSends counts cross-node sends deferred behind a compute,
+	// ArmedCaps the out-queues with a live fire cap, Inbound the messages
+	// pushed toward the node and not yet drained.
+	PendingSends int64
+	ArmedCaps    int
+	Inbound      int64
+}
+
+func (e *StallError) Error() string {
+	var b strings.Builder
+	b.WriteString("cluster: stalled — no shard can advance (a pacing protocol bug); node states:\n")
+	fmt.Fprintf(&b, "%6s %5s %16s %16s %16s %16s %8s %6s %8s\n",
+		"node", "done", "now", "next_event", "eot", "eit", "pending", "armed", "inbound")
+	for _, n := range e.Nodes {
+		fmt.Fprintf(&b, "%6d %5t %16s %16s %16s %16s %8d %6d %8d\n",
+			n.Node, n.Done, stallTime(n.Now), stallTime(n.NextEvent),
+			stallTime(n.EOT), stallTime(n.EIT), n.PendingSends, n.ArmedCaps, n.Inbound)
+	}
+	return strings.TrimRight(b.String(), "\n")
+}
+
+// stallTime renders an instant for the stall dump, MaxTime as "never".
+func stallTime(t sim.Time) string {
+	if t == sim.MaxTime {
+		return "never"
+	}
+	return t.String()
+}
+
 // xmsg is one cross-shard message in flight: the arrival instant is stamped
 // by the sender, and (arrival, srcNode, seq) is a total order — seq is the
 // sender's running counter for the directed node pair, so two messages can
@@ -214,6 +277,13 @@ type pairQueue struct {
 }
 
 const pairQueueCap = 1024
+
+// paddedCount is an atomic counter alone on its cache line, so senders on
+// different shards bumping neighbouring nodes' counts do not false-share.
+type paddedCount struct {
+	n atomic.Int64
+	_ [56]byte
+}
 
 // inject is one pooled target-side delivery: a pre-bound engine callback
 // per object, so injecting a cross-node message allocates nothing in steady
@@ -305,13 +375,29 @@ type Cluster struct {
 	// including multi-hop forwards the senders' own probes cannot see.
 	// Static is conservative: a finished node only removes paths.
 	reach [][]sim.Time
-	// windows/elided count executed lookahead windows per node and the
+	// windows/elided count executed lookahead windows per node — under
+	// EOT/EIT pacing only due windows run (see stepNode) — and the
 	// estimated floor-cadence windows the EOT/EIT horizon collapsed
 	// (owner shard only; read after Run). Shard interleaving perturbs the
 	// counts, so they are reported as diagnostics (ClusterInfo, BENCH)
 	// and must never feed a determinism-pinned artifact.
 	windows []int64
 	elided  []int64
+
+	// inbound[i] counts messages pushed toward node i and not yet drained
+	// (the sum of i's inbound pair counts). RouteMessage increments it right
+	// after the pair count and drainInto decrements it right after; a zero
+	// read lets a drain return without polling the N−1 pair queues — the
+	// same race argument as pairQueue.n. Each counter sits on its own cache
+	// line: every sender in the cluster writes it.
+	inbound []paddedCount
+	// armed[i] counts node i's out-queues with a live fire cap (capW set).
+	// Owner shard only; at zero, publishEOT and flushEOT skip the out-queue
+	// scan, so a node with nothing in flight republishes in O(1).
+	armed []int
+
+	// onWindow, when non-nil, observes every executed window (tests only).
+	onWindow func(windowStat)
 
 	pending  []int  // per-node unexited spawned ranks (owner shard only)
 	done     []bool // owner shard only
@@ -325,11 +411,11 @@ type Cluster struct {
 	abortMu  sync.Mutex
 	abortErr error
 
-	// progress is broadcast whenever any node publishes a new clock,
-	// finishes, or the run aborts. Shards whose nodes cannot advance park
-	// here instead of spinning: a node's horizon moves only when a peer's
-	// clock does, so every event that could unblock a shard bumps the
-	// generation. The generation and the parked-waiter count are atomics so
+	// progress is broadcast whenever any node runs a window, finishes,
+	// takes custody of in-flight messages, raises its bound, or the run
+	// aborts. Shards whose nodes cannot advance park here instead of
+	// spinning: a node's horizon moves only when a peer's bound does, so
+	// every event that could unblock a shard bumps the generation. The generation and the parked-waiter count are atomics so
 	// the hot path (bump with no one parked — the common case, once per
 	// lookahead window) costs two uncontended atomic ops, not a mutex and a
 	// broadcast; parked is only modified under progressMu.
@@ -337,6 +423,15 @@ type Cluster struct {
 	progress    sync.Cond
 	progressGen atomic.Uint64
 	parked      atomic.Int32
+	// stallParked counts the shards parked at progress generation
+	// stallGen, exited the shards whose nodes have all finished (all three
+	// under progressMu). When every live shard is parked at the current
+	// generation, no shard can ever bump it again: the run is stalled, and
+	// the last shard to park or exit aborts it with a *StallError instead
+	// of hanging.
+	stallGen    uint64
+	stallParked int
+	exited      int
 
 	finalized bool
 }
@@ -377,6 +472,8 @@ func New(cfg Config) (*Cluster, error) {
 		eot:     make([]atomic.Int64, cfg.Nodes),
 		windows: make([]int64, cfg.Nodes),
 		elided:  make([]int64, cfg.Nodes),
+		inbound: make([]paddedCount, cfg.Nodes),
+		armed:   make([]int, cfg.Nodes),
 	}
 	c.progress.L = &c.progressMu
 	for i := 0; i < cfg.Nodes; i++ {
@@ -583,10 +680,12 @@ func (c *Cluster) RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *mpi.
 		// the sender's published bound until the receiver takes custody.
 		// Sender fires are monotone, so the first armed is the oldest.
 		q.capW = c.Engines[srcNode].Now()
+		c.armed[srcNode]++
 	}
 	m := xmsg{arrival: arrival, srcNode: srcNode, seq: q.seq,
 		dst: dst, src: src, tag: tag, size: size}
 	q.n.Add(1)
+	c.inbound[dstNode].n.Add(1)
 	select {
 	case q.ch <- m:
 	default:
@@ -608,6 +707,9 @@ func (c *Cluster) RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *mpi.
 // by i's slot before the sender's slot releases them. The epoch bump makes
 // the hop visible to concurrent eitFor scans.
 func (c *Cluster) drainInto(i int) int {
+	if c.inbound[i].n.Load() == 0 {
+		return 0
+	}
 	st := c.staging[i]
 	taken := 0
 	for j := range c.queues {
@@ -656,6 +758,7 @@ func (c *Cluster) drainInto(i int) int {
 				}
 			}
 			q.n.Add(int64(-drained))
+			c.inbound[i].n.Add(int64(-drained))
 			taken += drained
 		}
 	}
@@ -740,10 +843,24 @@ func satAdd(a, b sim.Time) sim.Time {
 	return sim.MaxTime
 }
 
+// need is the earliest instant node i's engine must act at: its next
+// pending event or its earliest staged (drained-but-uninjected) arrival.
+// A window whose horizon falls short of it would fire and inject nothing.
+func (c *Cluster) need(i int) sim.Time {
+	need := c.Engines[i].NextEventAt()
+	for _, m := range c.staging[i] {
+		if m.arrival < need {
+			need = m.arrival
+		}
+	}
+	return need
+}
+
 // publishEOT recomputes node i's coverage bound over everything currently
 // in its custody and stores it, reporting whether the bound ROSE (the only
 // change that can open a peer's window). It must run with i's engine
-// quiescent (between windows, on the owner shard).
+// quiescent (between windows, on the owner shard), and need must be
+// c.need(i) as of now.
 //
 // The bound is the min of four terms:
 //
@@ -758,27 +875,42 @@ func satAdd(a, b sim.Time) sim.Time {
 //     flushed, so any send the engine probe cannot see is scheduled and
 //     already counted.
 //   - each out-queue's fire cap (pairQueue.capW) while the receiver has
-//     not yet drained it. A cap is cleared — releasing custody — only
-//     when the undrained count reads 0, which the receiver decrements
-//     AFTER lowering its own slot to the staged arrivals (drainInto), or
-//     when the receiver has finished (its chains die undelivered).
+//     not yet drained it (see capBound).
 //
-// The store is NOT monotone: new sends pushed this window can legitimately
-// pull the bound below the previous publish. Readers that still see the
-// old value are safe — the old bound was ≤ the first event this window
-// fired, hence ≤ every fire instant of the window's pushes — and lowers
-// within one slot never need the epoch (coverage never hops here).
-func (c *Cluster) publishEOT(i int) bool {
-	bound := c.Engines[i].NextEventAt()
-	for _, m := range c.staging[i] {
-		if m.arrival < bound {
-			bound = m.arrival
-		}
-	}
+// The first two terms are need. The store is NOT monotone: new sends
+// pushed this window can legitimately pull the bound below the previous
+// publish. Readers that still see the old value are safe — the old bound
+// was ≤ the first event this window fired, hence ≤ every fire instant of
+// the window's pushes — and lowers within one slot never need the epoch
+// (coverage never hops here).
+func (c *Cluster) publishEOT(i int, need sim.Time) bool {
+	bound := need
 	if c.World.NodePendingSends(i) > 0 {
 		if now := c.Engines[i].Now(); now < bound {
 			bound = now
 		}
+	}
+	return c.storeEOT(i, c.capBound(i, bound))
+}
+
+// flushEOT recomputes a FINISHED node's coverage bound: only its out-queue
+// fire caps remain (the engine is stopped and staged messages die
+// undelivered), so the bound rises to MaxTime as receivers drain — at
+// which point the node stops constraining every peer's EIT. The owner
+// shard keeps polling it after finish (runShard) until fully flushed.
+// Returns whether the bound rose.
+func (c *Cluster) flushEOT(i int) bool {
+	return c.storeEOT(i, c.capBound(i, sim.MaxTime))
+}
+
+// capBound folds node i's live out-queue fire caps into bound. A cap is
+// cleared — releasing custody — only when the undrained count reads 0,
+// which the receiver decrements AFTER lowering its own slot to the staged
+// arrivals (drainInto), or when the receiver has finished (its chains die
+// undelivered). With no cap armed it costs nothing.
+func (c *Cluster) capBound(i int, bound sim.Time) sim.Time {
+	if c.armed[i] == 0 {
+		return bound
 	}
 	for k, q := range c.queues[i] {
 		if q == nil || q.capW == sim.MaxTime {
@@ -786,12 +918,19 @@ func (c *Cluster) publishEOT(i int) bool {
 		}
 		if q.n.Load() == 0 || sim.Time(c.clocks[k].Load()) == sim.MaxTime {
 			q.capW = sim.MaxTime
+			c.armed[i]--
 			continue
 		}
 		if q.capW < bound {
 			bound = q.capW
 		}
 	}
+	return bound
+}
+
+// storeEOT publishes bound as node i's coverage bound and reports whether
+// it rose.
+func (c *Cluster) storeEOT(i int, bound sim.Time) bool {
 	slot := &c.eot[i]
 	old := sim.Time(slot.Load())
 	if bound != old {
@@ -818,34 +957,6 @@ func (c *Cluster) afterRun(i int) bool {
 	}
 	c.abortWith(&InterruptError{Node: i, Cause: cause})
 	return true
-}
-
-// flushEOT recomputes a FINISHED node's coverage bound: only its out-queue
-// fire caps remain (the engine is stopped and staged messages die
-// undelivered), so the bound rises to MaxTime as receivers drain — at
-// which point the node stops constraining every peer's EIT. The owner
-// shard keeps polling it after finish (runShard) until fully flushed.
-// Returns whether the bound rose.
-func (c *Cluster) flushEOT(i int) bool {
-	bound := sim.MaxTime
-	for k, q := range c.queues[i] {
-		if q == nil || q.capW == sim.MaxTime {
-			continue
-		}
-		if q.n.Load() == 0 || sim.Time(c.clocks[k].Load()) == sim.MaxTime {
-			q.capW = sim.MaxTime
-			continue
-		}
-		if q.capW < bound {
-			bound = q.capW
-		}
-	}
-	slot := &c.eot[i]
-	old := sim.Time(slot.Load())
-	if bound != old {
-		slot.Store(int64(bound))
-	}
-	return bound > old
 }
 
 // finish marks node i complete: its end is its engine's current instant
@@ -892,9 +1003,78 @@ func (c *Cluster) bump() {
 	c.progressMu.Unlock()
 }
 
-// stepNode advances node i by one lookahead window. It returns true if the
-// node made progress (fired events, moved its clock, or raised its EOT
-// row).
+// windowStat describes one executed window to Cluster.onWindow.
+type windowStat struct {
+	node            int
+	fired, injected int
+	// pendingSends: the node had a cross-node send deferred behind a
+	// compute when the window opened (the window ran even if not due).
+	pendingSends bool
+	// capped: the window ran to the run horizon.
+	capped bool
+}
+
+// stepNode visits node i once: under EOT/EIT pacing it runs one lookahead
+// window if one is due, under floor pacing whenever the horizon moved. It
+// returns true if the node made progress (fired events, moved its clock,
+// took custody of messages, or raised its EOT row).
+//
+// A window is DUE when the node's need — its next pending event or its
+// earliest staged arrival — falls at or before the horizon h. Every event
+// on any node raises its peers' EITs a little, so most visits find h moved
+// but nothing to do before it; running such a window would only move the
+// clock, publish, and wake every parked shard to repeat the exercise. A
+// not-due visit skips all of that: the engine is untouched and only the
+// bound is republished. Skipping is invisible to the simulation — the
+// skipped Run(h) would have fired nothing, and an injection always runs
+// the engine to exactly its arrival − 1 first, so every Schedule call
+// keeps its schedAt. Two visits are never skipped:
+//
+//   - a node with NodePendingSends > 0: its bound is its clock, so only
+//     running windows advances it; skipping would pin every peer's EIT at
+//     clock + L forever.
+//   - a window reaching the run horizon: that window caps the node.
+//
+// Under EOT/EIT pacing, then, every executed window fires or injects at
+// least one event, except horizon-capped ones and those forced by a
+// pending send (TestWindowsAreDue).
+func (c *Cluster) stepNode(i int) bool {
+	eng := c.Engines[i]
+	now := eng.Now()
+	if c.cfg.FloorPacing {
+		h := c.horizonFor(i)
+		if h <= now {
+			return false
+		}
+		c.drainInto(i)
+		c.runWindow(i, now, h)
+		return true
+	}
+	h := c.windowHorizon(i)
+	// Drain even when no window runs: taking custody of any in-flight
+	// message (lowering this slot, decrementing the pair count) is what
+	// lets the SENDER's next publish raise past its fire cap — a node that
+	// never drained would pin its senders forever.
+	took := c.drainInto(i) > 0
+	need := c.need(i)
+	if h <= now || (need > h && h < c.horizon && c.World.NodePendingSends(i) == 0) {
+		// Blocked on a peer's bound, or not due. Republish: a cap of our
+		// own may have lifted since the last window (a receiver drained
+		// us), which raises peers' EITs. A custody take or a rise bumps so
+		// parked shards re-evaluate; progress is claimed only when
+		// something moved, so an idle node still parks.
+		if rose := c.publishEOT(i, need); took || rose {
+			c.bump()
+			return true
+		}
+		return false
+	}
+	c.runWindow(i, now, h)
+	return true
+}
+
+// runWindow advances node i's engine from now to h, injecting its staged
+// arrivals up to h.
 //
 // The injection protocol is what makes window boundaries — which depend on
 // shard interleaving — invisible: staged messages are sorted into the total
@@ -905,37 +1085,9 @@ func (c *Cluster) bump() {
 // executes the identical Schedule-call sequence on this engine — and the
 // horizon rule (floor cadence or EOT/EIT) only moves those boundaries, so
 // both pacings execute it too (TestLookaheadFloorEquivalence).
-func (c *Cluster) stepNode(i int) bool {
+func (c *Cluster) runWindow(i int, now, h sim.Time) {
 	eng := c.Engines[i]
-	now := eng.Now()
-	var h sim.Time
-	if c.cfg.FloorPacing {
-		h = c.horizonFor(i)
-	} else {
-		h = c.windowHorizon(i)
-	}
-	if h <= now {
-		if c.cfg.FloorPacing {
-			return false
-		}
-		// Blocked on a peer's bound. Still drain: taking custody of any
-		// in-flight message (lowering this slot, decrementing the pair
-		// count) is what lets the SENDER's next publish raise past its
-		// fire cap — a blocked node that never drained would pin its
-		// senders forever. Then republish: a cap of our own may have
-		// lifted since the last window (a receiver drained us), which
-		// raises peers' EITs. Either change bumps so parked shards
-		// re-evaluate; progress is claimed only when something moved, so
-		// an idle blocked node still parks.
-		took := c.drainInto(i) > 0
-		rose := c.publishEOT(i)
-		if took || rose {
-			c.bump()
-			return true
-		}
-		return false
-	}
-	c.drainInto(i)
+	pendingSends := c.onWindow != nil && c.World.NodePendingSends(i) > 0
 	st := c.staging[i]
 	if len(st) > 1 {
 		sort.Slice(st, func(a, b int) bool {
@@ -948,16 +1100,16 @@ func (c *Cluster) stepNode(i int) bool {
 			return st[a].seq < st[b].seq
 		})
 	}
-	pos := 0
+	pos, fired := 0, 0
 	for pos < len(st) {
 		t := st[pos].arrival
 		if t > h {
 			break
 		}
-		eng.Run(t - 1)
+		fired += eng.Run(t - 1)
 		if c.afterRun(i) {
 			c.consumeStaged(i, pos)
-			return true
+			return
 		}
 		for pos < len(st) && st[pos].arrival == t {
 			in := c.pools[i].draw(st[pos])
@@ -966,38 +1118,45 @@ func (c *Cluster) stepNode(i int) bool {
 		}
 	}
 	c.consumeStaged(i, pos)
-	eng.Run(h)
+	fired += eng.Run(h)
 	c.windows[i]++
+	if c.onWindow != nil {
+		c.onWindow(windowStat{node: i, fired: fired, injected: pos,
+			pendingSends: pendingSends, capped: h >= c.horizon})
+	}
 	if !c.cfg.FloorPacing && c.floor < sim.MaxTime && h < c.horizon {
 		// Estimate how many floor-cadence windows this one replaced: the
 		// floor protocol advances the frontier by ≈ one floor per window,
-		// so a span of k floors cost ≈ k windows. Horizon-capped windows
-		// are excluded — once the peers are done, the floor protocol also
-		// jumps to the horizon in one window, so counting that span would
-		// claim elision the lookahead didn't earn.
+		// so a span of k floors cost ≈ k windows. The span runs from the
+		// previous window's end, so it includes every visit skipped as not
+		// due. Horizon-capped windows are excluded — once the peers are
+		// done, the floor protocol also jumps to the horizon in one window,
+		// so counting that span would claim elision the lookahead didn't
+		// earn.
 		if est := int64((h - now) / c.floor); est > 1 {
 			c.elided[i] += est - 1
 		}
 	}
 	if c.afterRun(i) {
-		return true
+		return
 	}
 	c.clocks[i].Store(int64(eng.Now()))
 	if eng.Now() >= c.horizon {
 		c.finish(i, c.pending[i] > 0)
-	} else {
-		if !c.cfg.FloorPacing {
-			c.publishEOT(i)
-		}
-		c.bump()
+		return
 	}
-	return true
+	if !c.cfg.FloorPacing {
+		c.publishEOT(i, c.need(i))
+	}
+	c.bump()
 }
 
 // Windows returns the total number of lookahead windows executed across
 // all nodes (valid after Run). Under floor pacing this tracks the
-// simulated span divided by the latency floor; under EOT/EIT lookahead it
-// tracks the cluster's event structure instead.
+// simulated span divided by the latency floor. Under EOT/EIT lookahead a
+// window runs only when due — it fires or injects at least one event —
+// save each node's horizon-capped final window and the windows forced
+// while a cross-node send waits behind a compute.
 func (c *Cluster) Windows() int64 {
 	var n int64
 	for _, w := range c.windows {
@@ -1007,7 +1166,8 @@ func (c *Cluster) Windows() int64 {
 }
 
 // WindowsElided returns the estimated number of floor-cadence windows the
-// EOT/EIT horizon collapsed (valid after Run; 0 under FloorPacing). The
+// EOT/EIT horizon collapsed, not-due visits included (valid after Run; 0
+// under FloorPacing). The
 // count depends on where shard scheduling happens to cut the windows, so
 // it is a diagnostic — never part of a determinism-pinned artifact.
 func (c *Cluster) WindowsElided() int64 {
@@ -1036,8 +1196,10 @@ const shardSpinPasses = 8
 // the cluster aborts. Shards never block on each other's windows: a node
 // that cannot advance (its horizon has not moved) is skipped. A pass with
 // no progress first yields the OS thread, then — after shardSpinPasses
-// fruitless passes — parks until any peer publishes a clock, finishes, or
-// aborts (every such event bumps the progress generation).
+// fruitless passes — parks until any peer runs a window, finishes, or
+// aborts (every such event bumps the progress generation). When the last
+// live shard parks with no bump since its peers parked, the run aborts
+// with a *StallError (abortIfStalledLocked).
 func (c *Cluster) runShard(s int) {
 	n := len(c.Engines)
 	spins := 0
@@ -1067,6 +1229,7 @@ func (c *Cluster) runShard(s int) {
 			}
 		}
 		if left == 0 {
+			c.shardExited()
 			return
 		}
 		if progress {
@@ -1080,6 +1243,13 @@ func (c *Cluster) runShard(s int) {
 		}
 		c.progressMu.Lock()
 		c.parked.Add(1)
+		if c.progressGen.Load() == gen {
+			if c.stallGen != gen {
+				c.stallGen, c.stallParked = gen, 0
+			}
+			c.stallParked++
+			c.abortIfStalledLocked()
+		}
 		for c.progressGen.Load() == gen && !c.abort.Load() {
 			c.progress.Wait()
 		}
@@ -1087,6 +1257,48 @@ func (c *Cluster) runShard(s int) {
 		c.progressMu.Unlock()
 		spins = 0
 	}
+}
+
+// shardExited records that shard's nodes have all finished. The exit can
+// complete a stall: peers parked at the current generation are waiting on
+// a bump only a live shard could make.
+func (c *Cluster) shardExited() {
+	c.progressMu.Lock()
+	c.exited++
+	c.abortIfStalledLocked()
+	c.progressMu.Unlock()
+}
+
+// abortIfStalledLocked aborts the run with a *StallError when every shard
+// has either exited or parked after a fruitless pass at the current
+// progress generation. Such a shard has seen every effect up to that
+// generation, and only a shard's pass can bump it again, so nothing will
+// ever wake them: without this check the run would hang silently. The
+// caller holds progressMu, which every other shard took on its way into
+// Wait or out of runShard, so reading their nodes' state is race-free.
+func (c *Cluster) abortIfStalledLocked() {
+	if c.stallParked == 0 || c.stallGen != c.progressGen.Load() ||
+		c.stallParked+c.exited < c.shards || c.abort.Load() {
+		return
+	}
+	err := &StallError{Nodes: make([]NodeState, len(c.Engines))}
+	for i, eng := range c.Engines {
+		err.Nodes[i] = NodeState{
+			Node: i, Done: c.done[i],
+			Now: eng.Now(), NextEvent: eng.NextEventAt(),
+			EOT: sim.Time(c.eot[i].Load()), EIT: c.eitFor(i),
+			PendingSends: c.World.NodePendingSends(i),
+			ArmedCaps:    c.armed[i],
+			Inbound:      c.inbound[i].n.Load(),
+		}
+	}
+	c.abortMu.Lock()
+	if c.abortErr == nil {
+		c.abortErr = err
+	}
+	c.abortMu.Unlock()
+	c.abort.Store(true)
+	c.progress.Broadcast()
 }
 
 // Run advances all nodes until every spawned rank has exited or the horizon

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hpcsched/internal/mpi"
 	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
+	"hpcsched/internal/workloads"
 )
 
 func newTestNode(node int, eng *sim.Engine) *sched.Kernel {
@@ -325,5 +328,220 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 	}
 	if floor.WindowsElided() != 0 {
 		t.Errorf("floor-paced run reports WindowsElided = %d, want 0", floor.WindowsElided())
+	}
+}
+
+// TestPendingSendKeepsNodeAdvancing pins the first guard of demand-driven
+// windows: a node whose cross-node send is deferred behind a compute
+// publishes its clock as its bound, so it must keep running windows even
+// though none of them is due. Rank 0 queues 5ms of work ahead of its send
+// (after a first blocking compute, so every rank is placed before the send
+// is issued), and node 1 has nothing to do until the message lands: were
+// the not-due skip applied to node 0, its clock — and with it node 1's EIT
+// and its own round-trip horizon — would never move, and the run would
+// stall.
+func TestPendingSendKeepsNodeAdvancing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, err := New(Config{
+			Nodes: 2, Shards: shards, Seed: 5,
+			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.NewWorld(2, mpi.DefaultOptions())
+		c.SpawnRank(0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Compute(10 * sim.Microsecond)
+			r.Env().DeferCompute(5 * sim.Millisecond)
+			r.Send(1, 0, 64)
+			r.Recv(1, 1)
+		})
+		c.SpawnRank(1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Send(0, 1, 64)
+			r.Recv(0, 0)
+		})
+		var forced int
+		c.onWindow = func(w windowStat) {
+			if w.node == 0 && w.pendingSends {
+				forced++ // single writer: node 0 has one owner shard
+			}
+		}
+		end, err := c.Run(0)
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("shards=%d: run failed: %v", shards, err)
+		}
+		if c.Capped(0) || c.Capped(1) {
+			t.Fatalf("shards=%d: a node capped at the horizon", shards)
+		}
+		if end < 5*sim.Millisecond {
+			t.Errorf("shards=%d: end = %v, before the deferred compute finished", shards, end)
+		}
+		if forced < 2 {
+			t.Errorf("shards=%d: %d windows ran with a send pending; the compute did not straddle a window boundary",
+				shards, forced)
+		}
+	}
+}
+
+// runBTMZ runs a 4-node, 2-iteration BT-MZ job and returns the cluster.
+func runBTMZ(t *testing.T, shards int, onWindow func(windowStat)) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		Nodes: 4, Shards: shards, Seed: 42,
+		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := workloads.DefaultBTMZ()
+	wc.Iterations = 2
+	BuildBTMZ(c, wc, JobParams{Policy: sched.PolicyNormal, Seed: 42})
+	c.onWindow = onWindow
+	if _, err := c.Run(0); err != nil {
+		c.Shutdown()
+		t.Fatalf("run failed: %v", err)
+	}
+	c.Shutdown()
+	return c
+}
+
+// TestBTMZWindowCount pins the window count of a fixed run exactly. At one
+// shard the visit order — and so every window boundary — is a pure
+// function of the simulation, so any change to the pacing shows up here as
+// a different count, even one that leaves the timeline intact.
+func TestBTMZWindowCount(t *testing.T) {
+	const want = 454
+	if got := runBTMZ(t, 1, nil).Windows(); got != want {
+		t.Errorf("Windows() = %d, want %d", got, want)
+	}
+}
+
+// TestWindowsAreDue: under EOT/EIT pacing a window runs only when due, so
+// every executed window fires or injects at least one event — except the
+// horizon-capped ones and those forced by a send pending behind a compute.
+// Windows() counts exactly the executed windows.
+func TestWindowsAreDue(t *testing.T) {
+	check := func(t *testing.T, run func(onWindow func(windowStat)) *Cluster) {
+		var mu sync.Mutex
+		var seen, empty int64
+		c := run(func(w windowStat) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen++
+			if w.fired+w.injected == 0 && !w.capped && !w.pendingSends {
+				empty++
+			}
+		})
+		if empty > 0 {
+			t.Errorf("%d of %d windows were not due", empty, seen)
+		}
+		if got := c.Windows(); got != seen {
+			t.Errorf("Windows() = %d, observed %d executed windows", got, seen)
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("btmz/shards%d", shards), func(t *testing.T) {
+			check(t, func(onWindow func(windowStat)) *Cluster { return runBTMZ(t, shards, onWindow) })
+		})
+		for _, topo := range []string{"flat", "star"} {
+			t.Run(fmt.Sprintf("ring-%s/shards%d", topo, shards), func(t *testing.T) {
+				check(t, func(onWindow func(windowStat)) *Cluster {
+					c := buildRingJob(t, Config{
+						Nodes: 4, Shards: shards, Topology: topo, Seed: 42,
+						MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+					}, 40)
+					c.onWindow = onWindow
+					defer c.Shutdown()
+					if _, err := c.Run(0); err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					return c
+				})
+			})
+		}
+	}
+}
+
+// TestStallReported: when no shard can make progress the run must abort
+// with a *StallError naming every node's synchronisation state, not hang.
+// The stall is forced by pinning node 1's bound: a phantom undrained
+// message holds its fire cap on the 1→0 queue at instant 0, so node 0's
+// EIT never passes the latency floor and the two nodes wait on each other.
+func TestStallReported(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c := buildRingJob(t, Config{
+			Nodes: 2, Shards: shards, Seed: 3,
+			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+		}, 40)
+		q := c.queues[1][0]
+		q.n.Store(1)
+		q.capW = 0
+		c.armed[1]++
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Run(0)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("shards=%d: stalled run did not return", shards)
+		}
+		c.Shutdown()
+		var se *StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("shards=%d: Run = %v, want *StallError", shards, err)
+		}
+		if len(se.Nodes) != 2 {
+			t.Fatalf("shards=%d: dump has %d nodes, want 2", shards, len(se.Nodes))
+		}
+		n1 := se.Nodes[1]
+		if n1.EOT != 0 || n1.ArmedCaps != 1 {
+			t.Errorf("shards=%d: node 1 dump = %+v, want the pinned bound 0 with one armed cap", shards, n1)
+		}
+		if want := c.Floor(); se.Nodes[0].EIT != want {
+			t.Errorf("shards=%d: node 0 EIT = %v, want the floor %v", shards, se.Nodes[0].EIT, want)
+		}
+		msg := err.Error()
+		for _, s := range []string{"stalled", "next_event", "eit", "armed", "inbound"} {
+			if !strings.Contains(msg, s) {
+				t.Errorf("shards=%d: error text lacks %q:\n%s", shards, s, msg)
+			}
+		}
+	}
+}
+
+// TestDeadlockedJobCaps pins the second guard of demand-driven windows: a
+// window reaching the run horizon always runs, even with nothing due. A
+// job whose rank waits for a message nobody sends drains its engine, so
+// only that final window can cap the node; skipping it would stall.
+func TestDeadlockedJobCaps(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, err := New(Config{
+			Nodes: 2, Shards: shards, Seed: 5,
+			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.NewWorld(2, mpi.DefaultOptions())
+		c.SpawnRank(0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Compute(100 * sim.Microsecond)
+			r.Recv(1, 0)
+		})
+		c.SpawnRank(1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Compute(200 * sim.Microsecond)
+		})
+		end, err := c.Run(50 * sim.Millisecond)
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("shards=%d: run failed: %v", shards, err)
+		}
+		if !c.Capped(0) || c.Capped(1) || end != 50*sim.Millisecond {
+			t.Errorf("shards=%d: end=%v capped=%v/%v, want node 0 alone capped at 50ms",
+				shards, end, c.Capped(0), c.Capped(1))
+		}
 	}
 }

@@ -42,19 +42,37 @@ type ClusterInfo struct {
 	Capped   []bool
 	// RankNodes[i] is the node rank i was placed on.
 	RankNodes []int
-	// Recorders are the per-node trace recorders (nil entries unless
-	// Config.Trace; Config.TraceSink is ignored for cluster runs — a single
-	// sink cannot be shared across concurrently-advancing node engines).
+	// Recorders are the per-node in-memory trace recorders (nil entries
+	// unless Config.Trace). Cluster runs reject Config.TraceSink with a
+	// *TraceSinkError: a single sink cannot be shared across concurrently
+	// advancing node engines.
 	Recorders []*trace.Recorder
 	// Kernels are the per-node kernels, shut down; inspect counters only.
 	Kernels []*sched.Kernel
 	// Windows counts the lookahead windows the PDES executed across all
-	// nodes; WindowsElided estimates the floor-cadence windows the EOT/EIT
-	// lookahead collapsed. Both depend on shard scheduling, so they are
-	// diagnostics — deliberately absent from ClusterTimeline, which is
-	// pinned byte-for-byte across shard counts.
+	// nodes. Under EOT/EIT pacing a window runs only when due — it fires or
+	// injects at least one event — save a node's horizon-capped final
+	// window and the windows forced while a cross-node send waits behind
+	// a compute; under floor pacing one runs per latency floor of progress.
+	// WindowsElided estimates the floor-cadence windows the EOT/EIT
+	// lookahead collapsed, skipped not-due visits included. Both depend on
+	// shard scheduling, so they are diagnostics — deliberately absent from
+	// ClusterTimeline, which is pinned byte-for-byte across shard counts.
 	Windows       int64
 	WindowsElided int64
+}
+
+// TraceSinkError reports a Config.TraceSink on a multi-node run. A sink is
+// one ordered stream, and cluster nodes advance concurrently on different
+// shards, so no sink can be shared between them; Config.Trace alone
+// records each node in memory (ClusterInfo.Recorders).
+type TraceSinkError struct {
+	Nodes int
+}
+
+func (e *TraceSinkError) Error() string {
+	return fmt.Sprintf("experiments: Config.TraceSink is not supported on a %d-node cluster run; "+
+		"use Config.Trace for per-node in-memory recorders", e.Nodes)
 }
 
 // runClusterCtx is RunCtx for Config.Nodes > 1: the same machine, scheduler,
@@ -63,6 +81,9 @@ type ClusterInfo struct {
 // advanced by the conservative PDES of internal/cluster. Determinism carries
 // over: the result is byte-identical at any Config.Shards.
 func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
+	if cfg.TraceSink != nil {
+		return Result{Config: cfg}, &TraceSinkError{Nodes: cfg.Nodes}
+	}
 	topology := cfg.Topology
 	if topology == "" {
 		topology = "flat"
@@ -273,7 +294,7 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	if runErr != nil {
-		node, reason, cause := 0, runErr.Error(), error(nil)
+		node, reason, cause := 0, runErr.Error(), runErr
 		var ie *cluster.InterruptError
 		if errors.As(runErr, &ie) {
 			node = ie.Node

@@ -12,6 +12,7 @@ import (
 
 	"hpcsched/internal/faults"
 	"hpcsched/internal/sim"
+	"hpcsched/internal/trace"
 	"hpcsched/internal/workloads"
 )
 
@@ -262,5 +263,26 @@ func TestLookaheadFloorEquivalence(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestClusterRejectsTraceSink: a trace sink cannot be shared by node
+// engines advancing on different shards, so a multi-node run with one set
+// fails up front with a *TraceSinkError instead of silently dropping it.
+func TestClusterRejectsTraceSink(t *testing.T) {
+	cfg := clusterCfg("metbench", 2, 1, "flat", 1)
+	cfg.TraceSink = trace.NullSink{}
+	_, err := RunCtx(context.Background(), cfg)
+	var se *TraceSinkError
+	if !errors.As(err, &se) {
+		t.Fatalf("RunCtx = %v, want *TraceSinkError", err)
+	}
+	if se.Nodes != 2 {
+		t.Errorf("TraceSinkError.Nodes = %d, want 2", se.Nodes)
+	}
+	// The single-node path still streams through the sink.
+	cfg.Nodes = 1
+	if _, err := RunCtx(context.Background(), cfg); err != nil {
+		t.Fatalf("single-node run with a sink: %v", err)
 	}
 }

@@ -109,7 +109,8 @@ type Config struct {
 	// the given sink instead of retaining history in memory: the run can
 	// be traced to a .prv file (trace.PRVSink) or measured without
 	// retention (trace.NullSink). Result.Recorder then has task identities
-	// but no renderable intervals.
+	// but no renderable intervals. Multi-node runs reject a sink with a
+	// *TraceSinkError.
 	TraceSink trace.Sink
 	// Horizon bounds the run (0 → 1 simulated hour).
 	Horizon sim.Time

@@ -24,7 +24,9 @@ type AbortError struct {
 	// Reason is the one-line verdict ("context cancelled", "sim clock
 	// stalled at ...").
 	Reason string
-	// Cause is the context error for cancellations, nil for stalls.
+	// Cause is the context error for cancellations, the cluster's error
+	// for a stalled cluster run (*cluster.StallError), nil for a stalled
+	// sim clock.
 	Cause error
 	// Dump is the machine-state diagnostic captured at abort time.
 	Dump string
