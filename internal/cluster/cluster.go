@@ -436,8 +436,9 @@ type Cluster struct {
 	finalized bool
 }
 
-// New builds the node engines and kernels. Ranks are placed with SpawnRank;
-// call Finalize after the last spawn, then Run.
+// New builds the node engines and kernels. Ranks are placed with NewWorld
+// and launched with SpawnRank; call Finalize after the last spawn, then
+// Run.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -496,32 +497,34 @@ func (c *Cluster) Shards() int { return c.shards }
 // Floor returns the lookahead floor (valid after Finalize).
 func (c *Cluster) Floor() sim.Time { return c.floor }
 
-// NewWorld creates the MPI world spanning the cluster: node 0's kernel
-// anchors it, every further node is attached, and the cluster itself is
-// installed as the cross-shard router.
-func (c *Cluster) NewWorld(size int, opts mpi.Options) *mpi.World {
-	w := mpi.NewWorld(c.Kernels[0], size, opts)
-	for i := 1; i < len(c.Kernels); i++ {
-		w.AttachNode(i, c.Kernels[i])
+// Nodes returns the node count.
+func (c *Cluster) Nodes() int { return len(c.Kernels) }
+
+// NewWorld creates the MPI world spanning the cluster, on the Config.MPI
+// transport (the same options Finalize derives the lookahead floor from),
+// with the cluster installed as the cross-shard router. Rank i is placed on
+// node rankNodes[i] here, before any rank is spawned, so a body that sends
+// eagerly at spawn already sees every peer's real node.
+func (c *Cluster) NewWorld(rankNodes []int) *mpi.World {
+	for i, node := range rankNodes {
+		if node < 0 || node >= len(c.Kernels) {
+			panic(fmt.Sprintf("cluster: rank %d placed on node %d, out of range", i, node))
+		}
 	}
-	w.SetRouter(c)
-	c.World = w
-	c.rankNode = make([]int, size)
-	return w
+	c.rankNode = append([]int(nil), rankNodes...)
+	c.World = mpi.NewRoutedWorld(c.Kernels, c.rankNode, c.cfg.MPI, c)
+	return c.World
 }
 
-// SpawnRank places rank i on the given node and registers it for
-// completion tracking: a node is finished when its last spawned rank
+// SpawnRank launches rank i on the node NewWorld placed it on and registers
+// it for completion tracking: a node is finished when its last spawned rank
 // exits, which stops the node's engine mid-window.
-func (c *Cluster) SpawnRank(i, node int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
+func (c *Cluster) SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
 	if c.World == nil {
 		panic("cluster: SpawnRank before NewWorld")
 	}
-	if node < 0 || node >= len(c.Kernels) {
-		panic(fmt.Sprintf("cluster: node %d out of range", node))
-	}
+	node := c.rankNode[i]
 	task := c.World.SpawnAt(i, c.Kernels[node], node, spec, body)
-	c.rankNode[i] = node
 	c.pending[node]++
 	if c.watched[node] == nil {
 		c.watched[node] = make(map[*sched.Task]bool)
@@ -542,6 +545,22 @@ func (c *Cluster) SpawnRank(i, node int, spec sched.TaskSpec, body func(*mpi.Ran
 	}
 	c.watched[node][task] = true
 	return task
+}
+
+// clusterRankSalt separates the per-rank workload RNG streams.
+const clusterRankSalt = 0x2a8c_0000_0000_0000
+
+// RankRNGs returns n workload jitter streams, rank i's stream derived from
+// DeriveSeed(Seed, clusterRankSalt+i). Node engines run on different
+// shards, so ranks never share a stream here (shared is ignored), and each
+// stream is a function of the rank alone, so any shard interleaving draws
+// the identical workload.
+func (c *Cluster) RankRNGs(n int, shared bool) []*sim.RNG {
+	rngs := make([]*sim.RNG, n)
+	for i := range rngs {
+		rngs[i] = sim.NewRNG(batch.DeriveSeed(c.cfg.Seed, clusterRankSalt+uint64(i)))
+	}
+	return rngs
 }
 
 // RankNode returns the node rank i was placed on.

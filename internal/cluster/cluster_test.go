@@ -30,11 +30,16 @@ func buildRingJob(t *testing.T, cfg Config, iterations int) *Cluster {
 		t.Fatal(err)
 	}
 	n := cfg.Nodes * 2
-	c.NewWorld(n, cfg.MPI)
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i / 2
+	}
+	c.NewWorld(nodes)
+	rngs := c.RankRNGs(n, false)
 	for i := 0; i < n; i++ {
 		i := i
-		rng := rankRNG(cfg.Seed, i)
-		c.SpawnRank(i, i/2, sched.TaskSpec{}, func(r *mpi.Rank) {
+		rng := rngs[i]
+		c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 			for it := 0; it < iterations; it++ {
 				r.Compute(rng.Jitter(200*sim.Microsecond, 0.3))
 				r.Send((i+1)%n, it, 4096)
@@ -149,10 +154,10 @@ func TestHorizonCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Shutdown()
-		c.NewWorld(2, mpi.DefaultOptions())
+		c.NewWorld([]int{0, 1})
 		for i := 0; i < 2; i++ {
 			i := i
-			c.SpawnRank(i, i, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; ; it++ {
 					r.Compute(1 * sim.Millisecond)
 					r.Send(1-i, it, 64)
@@ -216,10 +221,10 @@ func TestCollectivesCrossNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Shutdown()
-		c.NewWorld(4, mpi.DefaultOptions())
+		c.NewWorld([]int{0, 0, 1, 1})
 		for i := 0; i < 4; i++ {
 			i := i
-			c.SpawnRank(i, i/2, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; it < 10; it++ {
 					r.Compute(sim.Time(100+50*i) * sim.Microsecond)
 					r.Barrier()
@@ -291,10 +296,10 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.NewWorld(3, mpi.DefaultOptions())
+		c.NewWorld([]int{0, 0, 1})
 		for i := 0; i < 2; i++ {
 			i := i
-			c.SpawnRank(i, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; it < 25; it++ {
 					r.Compute(2 * sim.Millisecond)
 					r.Send(1-i, it, 512)
@@ -302,7 +307,7 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 				}
 			})
 		}
-		c.SpawnRank(2, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.SpawnRank(2, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(55 * sim.Millisecond)
 		})
 		end, err := c.Run(0)
@@ -349,14 +354,14 @@ func TestPendingSendKeepsNodeAdvancing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.NewWorld(2, mpi.DefaultOptions())
-		c.SpawnRank(0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.NewWorld([]int{0, 1})
+		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(10 * sim.Microsecond)
 			r.Env().DeferCompute(5 * sim.Millisecond)
 			r.Send(1, 0, 64)
 			r.Recv(1, 1)
 		})
-		c.SpawnRank(1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Send(0, 1, 64)
 			r.Recv(0, 0)
 		})
@@ -396,7 +401,7 @@ func runBTMZ(t *testing.T, shards int, onWindow func(windowStat)) *Cluster {
 	}
 	wc := workloads.DefaultBTMZ()
 	wc.Iterations = 2
-	BuildBTMZ(c, wc, JobParams{Policy: sched.PolicyNormal, Seed: 42})
+	workloads.BuildBTMZ(c, wc)
 	c.onWindow = onWindow
 	if _, err := c.Run(0); err != nil {
 		c.Shutdown()
@@ -526,12 +531,12 @@ func TestDeadlockedJobCaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.NewWorld(2, mpi.DefaultOptions())
-		c.SpawnRank(0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.NewWorld([]int{0, 1})
+		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(100 * sim.Microsecond)
 			r.Recv(1, 0)
 		})
-		c.SpawnRank(1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(200 * sim.Microsecond)
 		})
 		end, err := c.Run(50 * sim.Millisecond)
@@ -542,6 +547,49 @@ func TestDeadlockedJobCaps(t *testing.T) {
 		if !c.Capped(0) || c.Capped(1) || end != 50*sim.Millisecond {
 			t.Errorf("shards=%d: end=%v capped=%v/%v, want node 0 alone capped at 50ms",
 				shards, end, c.Capped(0), c.Capped(1))
+		}
+	}
+}
+
+// TestSendBeforePeerSpawn: a rank body runs eagerly at spawn, up to its
+// first blocking call, so rank 0 here sends to rank 1 before rank 1 is
+// spawned. NewWorld has already placed rank 1 on node 1, so the send is
+// priced and routed as inter-node traffic — it must not be delivered as a
+// node-local message on the sender's engine.
+func TestSendBeforePeerSpawn(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, err := New(Config{
+			Nodes: 2, Shards: shards, Seed: 3,
+			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.NewWorld([]int{0, 1})
+		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Send(1, 0, 0)
+			r.Recv(1, 1)
+		})
+		var arrived sim.Time
+		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Recv(0, 0)
+			arrived = r.Now()
+			r.Send(0, 1, 0)
+			r.Compute(sim.Millisecond)
+		})
+		_, err = c.Run(0)
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("shards=%d: run failed: %v", shards, err)
+		}
+		if c.Capped(0) || c.Capped(1) {
+			t.Fatalf("shards=%d: a node capped at the horizon; the message was lost", shards)
+		}
+		if lat := mpi.DefaultOptions().RemoteLatency; arrived < lat {
+			t.Errorf("shards=%d: message arrived at %v, before the %v inter-node latency", shards, arrived, lat)
+		}
+		if _, _, remote := c.World.NodeMsgStats(0); remote != 1 {
+			t.Errorf("shards=%d: node 0 sent %d remote messages, want 1", shards, remote)
 		}
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
 	"hpcsched/internal/mpi"
-	"hpcsched/internal/noise"
-	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
@@ -75,12 +73,13 @@ func (e *TraceSinkError) Error() string {
 		"use Config.Trace for per-node in-memory recorders", e.Nodes)
 }
 
-// runClusterCtx is RunCtx for Config.Nodes > 1: the same machine, scheduler,
-// noise, trace and fault assembly as the single-node path, replicated once
-// per node, with the workload scaled across the cluster and the node engines
-// advanced by the conservative PDES of internal/cluster. Determinism carries
-// over: the result is byte-identical at any Config.Shards.
-func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
+// runClusterCtx is RunCtx for Config.Nodes > 1: the same node assembly
+// (newNode) and fault assembly as the single-node path, replicated once per
+// node, with the same job builder tiling the workload across the cluster
+// and the node engines advanced by the conservative PDES of
+// internal/cluster. Determinism carries over: the result is byte-identical
+// at any Config.Shards.
+func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placement) *workloads.Job) (Result, error) {
 	if cfg.TraceSink != nil {
 		return Result{Config: cfg}, &TraceSinkError{Nodes: cfg.Nodes}
 	}
@@ -99,54 +98,11 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 		Seed:        cfg.Seed,
 		FloorPacing: cfg.FloorPacing,
 		MPI:         mpi.DefaultOptions(),
-		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
-			// Each node is a full copy of the paper's machine. The perf
-			// model is built per node unless overridden: node kernels run on
-			// different shards, so a caller-supplied Config.PerfModel must
-			// be safe for concurrent use.
-			pm := cfg.PerfModel
-			if pm == nil {
-				pm = power5.NewCalibratedPerfModel()
-			}
-			chip := power5.NewChip(2, pm)
-			k := sched.NewKernel(eng, chip, cfg.KernelOpts)
-			if cfg.Mode.UsesHPCClass() {
-				params := cfg.Params
-				if params == (core.Params{}) {
-					params = core.DefaultParams()
-				}
-				var h core.Heuristic
-				var mech core.Mechanism = core.POWER5Mechanism{}
-				switch cfg.Mode {
-				case ModeUniform:
-					h = core.UniformHeuristic{}
-				case ModeAdaptive:
-					h = core.AdaptiveHeuristic{}
-				case ModeHybrid:
-					h = core.HybridHeuristic{}
-				case ModeHPCOnly:
-					h = core.FixedHeuristic{}
-					mech = core.NullMechanism{}
-				}
-				hpcs[node] = core.MustInstall(k, core.Config{
-					Heuristic:  h,
-					Mechanism:  mech,
-					Discipline: cfg.Discipline,
-					Params:     params,
-				})
-			}
-			if cfg.Trace {
-				rec := trace.NewRecorder()
-				rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
-				k.SetTracer(rec)
-				recs[node] = rec
-			}
-			nz := noise.DefaultConfig()
-			if cfg.Noise != nil {
-				nz = *cfg.Noise
-			}
-			noise.Install(k, nz)
-			return k
+		NewNode: func(i int, eng *sim.Engine) *sched.Kernel {
+			// Each node is a full copy of the paper's machine.
+			n := newNode(cfg, eng)
+			hpcs[i], recs[i] = n.hpc, n.rec
+			return n.kernel
 		},
 		OnNodeStop: func(node int) error {
 			if wd := wds[node]; wd != nil && wd.cause != nil {
@@ -164,55 +120,7 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 			panic(v)
 		}
 	}()
-
-	policy := sched.PolicyNormal
-	if cfg.Mode.UsesHPCClass() {
-		policy = sched.PolicyHPC
-	}
-	var prios []power5.Priority
-	if cfg.Mode == ModeStatic {
-		prios = staticPrios(cfg.Workload)
-	}
-	params := cluster.JobParams{Policy: policy, StaticPrios: prios, Seed: cfg.Seed}
-
-	// The workload tweak hooks apply before scaling, exactly like the
-	// single-node path; policy and priorities ride JobParams instead of the
-	// workload config (the cluster builders tile priorities per node).
-	var job *workloads.Job
-	switch cfg.Workload {
-	case "metbench":
-		wc := workloads.DefaultMetBench()
-		if cfg.TweakMetBench != nil {
-			cfg.TweakMetBench(&wc)
-		}
-		job = cluster.BuildMetBench(cl, wc, params)
-	case "metbenchvar":
-		wc := workloads.DefaultMetBenchVar()
-		if cfg.TweakMetBenchVar != nil {
-			cfg.TweakMetBenchVar(&wc)
-		}
-		job = cluster.BuildMetBenchVar(cl, wc, params)
-	case "btmz":
-		wc := workloads.DefaultBTMZ()
-		if cfg.TweakBTMZ != nil {
-			cfg.TweakBTMZ(&wc)
-		}
-		job = cluster.BuildBTMZ(cl, wc, params)
-	case "siesta":
-		wc := workloads.DefaultSiesta()
-		if cfg.TweakSiesta != nil {
-			cfg.TweakSiesta(&wc)
-		}
-		job = cluster.BuildSiesta(cl, wc, params)
-	case "matmul":
-		wc := workloads.DefaultMatMulDAG()
-		if cfg.TweakMatMulDAG != nil {
-			cfg.TweakMatMulDAG(&wc)
-		}
-		job = cluster.BuildMatMulDAG(cl, wc, params)
-	default:
-		panic(fmt.Sprintf("experiments: unknown workload %q", cfg.Workload))
-	}
+	job := build(cl)
 
 	if cfg.Prelude != nil {
 		cfg.Prelude(cl.Kernels[0])
@@ -367,7 +275,7 @@ func ClusterTimeline(res Result) string {
 		fmt.Fprintf(&b, "n%d end=%v msgs=%d bytes=%d remote=%d%s\n",
 			i, ci.NodeEnds[i], count, bytes, remote, capped)
 	}
-	// Every cluster builder spawns rank i as job.Tasks[i], so the summary
+	// Every builder returns rank i as job.Tasks[i], so the summary
 	// index is the rank.
 	for i, s := range res.Summaries {
 		fmt.Fprintf(&b, "%s n%d comp=%.2f prio=%d exec=%v sleep=%v wait=%v wakeups=%d\n",

@@ -73,33 +73,56 @@ func clusterRunFingerprint(t *testing.T, cfg Config) string {
 	return b.String()
 }
 
-// TestClusterGoldenTimeline pins the headline determinism claim: the
-// 4-node BT-MZ cluster timeline is byte-identical at 1 shard, 4 shards and
-// GOMAXPROCS shards, and matches the committed golden byte-for-byte.
-// Regenerate with UPDATE_GOLDEN=1.
+// TestClusterGoldenTimeline pins the headline determinism claim for every
+// workload: each 4-node cluster timeline (plus every node's .prv) is
+// byte-identical at 1 shard, 4 shards and GOMAXPROCS shards, and matches
+// its committed golden byte-for-byte. Regenerate with UPDATE_GOLDEN=1.
+//
+// The metbench, metbenchvar and siesta goldens pin one node "capped": a
+// rank whose body ends with a cross-node send, on a node whose other ranks
+// have all exited, loses that send, so its peer blocks until the horizon
+// (ROADMAP item 4). Their 10 s horizon keeps the capped node from
+// simulating an hour of OS noise, which takes minutes under -race.
 func TestClusterGoldenTimeline(t *testing.T) {
-	base := clusterCfg("btmz", 4, 1, "flat", 42)
-	base.Faults = faults.MustParse("slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s")
-	got := clusterRunFingerprint(t, base)
-	for _, shards := range []int{4, runtime.GOMAXPROCS(0)} {
-		cfg := base
-		cfg.Shards = shards
-		if sharded := clusterRunFingerprint(t, cfg); sharded != got {
-			t.Fatalf("shards=%d run differs from sequential:\n%s", shards, firstDiff(got, sharded))
-		}
-	}
-	path := filepath.Join("testdata", "golden_cluster_btmz.txt")
-	if update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("cluster timeline differs from golden:\n%s", firstDiff(string(want), got))
+	for _, tc := range []struct {
+		workload string
+		faults   string
+		horizon  sim.Time
+	}{
+		{"btmz", "slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s", 0},
+		{"metbench", "", 10 * sim.Second},
+		{"metbenchvar", "", 10 * sim.Second},
+		{"siesta", "", 10 * sim.Second},
+		{"matmul", "", 0},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			base := clusterCfg(tc.workload, 4, 1, "flat", 42)
+			base.Horizon = tc.horizon
+			if tc.faults != "" {
+				base.Faults = faults.MustParse(tc.faults)
+			}
+			got := clusterRunFingerprint(t, base)
+			for _, shards := range []int{4, runtime.GOMAXPROCS(0)} {
+				cfg := base
+				cfg.Shards = shards
+				if sharded := clusterRunFingerprint(t, cfg); sharded != got {
+					t.Fatalf("shards=%d run differs from sequential:\n%s", shards, firstDiff(got, sharded))
+				}
+			}
+			path := filepath.Join("testdata", "golden_cluster_"+tc.workload+".txt")
+			if update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("cluster timeline differs from golden:\n%s", firstDiff(string(want), got))
+			}
+		})
 	}
 }
 

@@ -188,88 +188,22 @@ func staticPrios(workload string) []power5.Priority {
 	}
 }
 
-// Run executes one experiment. It is RunCtx without cancellation or
-// watchdog: with a background context and no StallTimeout the run cannot
-// abort, so no error leg exists.
-func Run(cfg Config) Result {
-	cfg.StallTimeout = 0
-	res, err := RunCtx(context.Background(), cfg)
-	if err != nil {
-		panic(err) // unreachable: no cancel source and no watchdog
-	}
-	return res
+// UnknownWorkloadError reports a Config.Workload that names no workload.
+// RunCtx returns it before it builds any kernel or cluster.
+type UnknownWorkloadError struct {
+	Workload string
 }
 
-// RunCtx executes one experiment under a context. Cancellation propagates
-// into the event pump through the engine's interrupt hook, so a cancelled
-// batch stops mid-replica instead of finishing the simulated hour. When
-// cfg.StallTimeout is set, the same hook doubles as the liveness watchdog.
-// An aborted run returns a partial Result plus an *AbortError carrying the
-// reason and a diagnostic dump; the kernel is shut down either way (no
-// leaked process goroutines). A panic out of the model layers shuts the
-// kernel down and re-panics, so batch-level recovery sees a clean process.
-func RunCtx(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Nodes > 1 {
-		return runClusterCtx(ctx, cfg)
-	}
-	engine := sim.NewEngine(cfg.Seed)
-	pm := cfg.PerfModel
-	if pm == nil {
-		pm = power5.NewCalibratedPerfModel()
-	}
-	chip := power5.NewChip(2, pm)
-	kernel := sched.NewKernel(engine, chip, cfg.KernelOpts)
-	defer func() {
-		if v := recover(); v != nil {
-			kernel.Shutdown()
-			panic(v)
-		}
-	}()
+func (e *UnknownWorkloadError) Error() string {
+	return fmt.Sprintf("experiments: unknown workload %q", e.Workload)
+}
 
-	var hpc *core.HPCClass
-	if cfg.Mode.UsesHPCClass() {
-		params := cfg.Params
-		if params == (core.Params{}) {
-			params = core.DefaultParams()
-		}
-		var h core.Heuristic
-		var mech core.Mechanism = core.POWER5Mechanism{}
-		switch cfg.Mode {
-		case ModeUniform:
-			h = core.UniformHeuristic{}
-		case ModeAdaptive:
-			h = core.AdaptiveHeuristic{}
-		case ModeHybrid:
-			h = core.HybridHeuristic{}
-		case ModeHPCOnly:
-			h = core.FixedHeuristic{}
-			mech = core.NullMechanism{}
-		}
-		hpc = core.MustInstall(kernel, core.Config{
-			Heuristic:  h,
-			Mechanism:  mech,
-			Discipline: cfg.Discipline,
-			Params:     params,
-		})
-	}
-
-	var rec *trace.Recorder
-	if cfg.Trace {
-		if cfg.TraceSink != nil {
-			rec = trace.NewRecorderWithSink(cfg.TraceSink)
-		} else {
-			rec = trace.NewRecorder()
-		}
-		rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
-		kernel.SetTracer(rec)
-	}
-
-	nz := noise.DefaultConfig()
-	if cfg.Noise != nil {
-		nz = *cfg.Noise
-	}
-	noise.Install(kernel, nz)
-
+// jobBuilder resolves cfg's workload to the builder of its job: the
+// workload's default config with the mode's policy and static priorities
+// set and the Tweak hook applied, ready to build on any placement. It is
+// the one workload switch; single-node and cluster runs both build through
+// it.
+func jobBuilder(cfg Config) (func(workloads.Placement) *workloads.Job, error) {
 	policy := sched.PolicyNormal
 	if cfg.Mode.UsesHPCClass() {
 		policy = sched.PolicyHPC
@@ -278,52 +212,149 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Mode == ModeStatic {
 		prios = staticPrios(cfg.Workload)
 	}
-
-	var job *workloads.Job
 	switch cfg.Workload {
 	case "metbench":
 		wc := workloads.DefaultMetBench()
-		wc.Policy = policy
-		wc.StaticPrios = prios
+		wc.Policy, wc.StaticPrios = policy, prios
 		if cfg.TweakMetBench != nil {
 			cfg.TweakMetBench(&wc)
 		}
-		job = workloads.BuildMetBench(kernel, wc)
+		return func(p workloads.Placement) *workloads.Job { return workloads.BuildMetBench(p, wc) }, nil
 	case "metbenchvar":
 		wc := workloads.DefaultMetBenchVar()
-		wc.Policy = policy
-		wc.StaticPrios = prios
+		wc.Policy, wc.StaticPrios = policy, prios
 		if cfg.TweakMetBenchVar != nil {
 			cfg.TweakMetBenchVar(&wc)
 		}
-		job = workloads.BuildMetBenchVar(kernel, wc)
+		return func(p workloads.Placement) *workloads.Job { return workloads.BuildMetBenchVar(p, wc) }, nil
 	case "btmz":
 		wc := workloads.DefaultBTMZ()
-		wc.Policy = policy
-		wc.StaticPrios = prios
+		wc.Policy, wc.StaticPrios = policy, prios
 		if cfg.TweakBTMZ != nil {
 			cfg.TweakBTMZ(&wc)
 		}
-		job = workloads.BuildBTMZ(kernel, wc)
+		return func(p workloads.Placement) *workloads.Job { return workloads.BuildBTMZ(p, wc) }, nil
 	case "siesta":
 		wc := workloads.DefaultSiesta()
-		wc.Policy = policy
-		wc.StaticPrios = prios
+		wc.Policy, wc.StaticPrios = policy, prios
 		if cfg.TweakSiesta != nil {
 			cfg.TweakSiesta(&wc)
 		}
-		job = workloads.BuildSiesta(kernel, wc)
+		return func(p workloads.Placement) *workloads.Job { return workloads.BuildSiesta(p, wc) }, nil
 	case "matmul":
 		wc := workloads.DefaultMatMulDAG()
-		wc.Policy = policy
-		wc.StaticPrios = prios
+		wc.Policy, wc.StaticPrios = policy, prios
 		if cfg.TweakMatMulDAG != nil {
 			cfg.TweakMatMulDAG(&wc)
 		}
-		job = workloads.BuildMatMulDAG(kernel, wc)
+		return func(p workloads.Placement) *workloads.Job { return workloads.BuildMatMulDAG(p, wc) }, nil
 	default:
-		panic(fmt.Sprintf("experiments: unknown workload %q", cfg.Workload))
+		return nil, &UnknownWorkloadError{Workload: cfg.Workload}
 	}
+}
+
+// node is one assembled copy of the paper's machine.
+type node struct {
+	kernel *sched.Kernel
+	hpc    *core.HPCClass  // nil unless the mode uses the class
+	rec    *trace.Recorder // nil unless Config.Trace
+}
+
+// newNode assembles one machine on eng: chip, kernel, the mode's HPC
+// class, the trace recorder and OS noise, in that order (the order fixes
+// the engine's RNG draws, which the goldens pin). Cluster nodes run on
+// different shards, so a caller-supplied Config.PerfModel must then be
+// safe for concurrent use.
+func newNode(cfg Config, eng *sim.Engine) node {
+	pm := cfg.PerfModel
+	if pm == nil {
+		pm = power5.NewCalibratedPerfModel()
+	}
+	n := node{kernel: sched.NewKernel(eng, power5.NewChip(2, pm), cfg.KernelOpts)}
+	if cfg.Mode.UsesHPCClass() {
+		params := cfg.Params
+		if params == (core.Params{}) {
+			params = core.DefaultParams()
+		}
+		h, mech := hpcPolicy(cfg.Mode)
+		n.hpc = core.MustInstall(n.kernel, core.Config{
+			Heuristic:  h,
+			Mechanism:  mech,
+			Discipline: cfg.Discipline,
+			Params:     params,
+		})
+	}
+	if cfg.Trace {
+		if cfg.TraceSink != nil {
+			n.rec = trace.NewRecorderWithSink(cfg.TraceSink)
+		} else {
+			n.rec = trace.NewRecorder()
+		}
+		n.rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
+		n.kernel.SetTracer(n.rec)
+	}
+	nz := noise.DefaultConfig()
+	if cfg.Noise != nil {
+		nz = *cfg.Noise
+	}
+	noise.Install(n.kernel, nz)
+	return n
+}
+
+// hpcPolicy returns the heuristic and mechanism of an HPC-class mode.
+func hpcPolicy(m Mode) (core.Heuristic, core.Mechanism) {
+	switch m {
+	case ModeUniform:
+		return core.UniformHeuristic{}, core.POWER5Mechanism{}
+	case ModeAdaptive:
+		return core.AdaptiveHeuristic{}, core.POWER5Mechanism{}
+	case ModeHybrid:
+		return core.HybridHeuristic{}, core.POWER5Mechanism{}
+	default: // ModeHPCOnly: scheduling-policy benefits only
+		return core.FixedHeuristic{}, core.NullMechanism{}
+	}
+}
+
+// Run executes one experiment. It is RunCtx without cancellation or
+// watchdog: with a background context and no StallTimeout the run cannot
+// abort, so the only error left — an unknown workload — panics.
+func Run(cfg Config) Result {
+	cfg.StallTimeout = 0
+	res, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// RunCtx executes one experiment under a context. An unknown workload is
+// an *UnknownWorkloadError, returned before anything is built.
+// Cancellation propagates into the event pump through the engine's
+// interrupt hook, so a cancelled batch stops mid-replica instead of
+// finishing the simulated hour. When cfg.StallTimeout is set, the same
+// hook doubles as the liveness watchdog. An aborted run returns a partial
+// Result plus an *AbortError carrying the reason and a diagnostic dump;
+// the kernel is shut down either way (no leaked process goroutines). A
+// panic out of the model layers shuts the kernel down and re-panics, so
+// batch-level recovery sees a clean process.
+func RunCtx(ctx context.Context, cfg Config) (Result, error) {
+	build, err := jobBuilder(cfg)
+	if err != nil {
+		return Result{Config: cfg}, err
+	}
+	if cfg.Nodes > 1 {
+		return runClusterCtx(ctx, cfg, build)
+	}
+	engine := sim.NewEngine(cfg.Seed)
+	n := newNode(cfg, engine)
+	kernel, rec := n.kernel, n.rec
+	defer func() {
+		if v := recover(); v != nil {
+			kernel.Shutdown()
+			panic(v)
+		}
+	}()
+	job := build(workloads.OnKernel(kernel))
 
 	if cfg.Prelude != nil {
 		cfg.Prelude(kernel)
@@ -339,7 +370,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 			fseed = *cfg.FaultSeed
 		}
 		sc := faults.Compile(cfg.Faults, fseed, kernel.NumCPUs())
-		inj = faults.Install(kernel, job.World, sc)
+		inj = faults.InstallAt(kernel, job.World, 0, sc)
 	}
 
 	if cfg.Probe != nil {
@@ -362,7 +393,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	res := Result{
 		Config:   cfg,
 		ExecTime: end,
-		HPC:      hpc,
+		HPC:      n.hpc,
 		World:    job.World,
 		Tasks:    job.Tasks,
 		Kernel:   kernel,

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"hpcsched/internal/core"
 	"hpcsched/internal/noise"
 	"hpcsched/internal/trace"
 )
@@ -287,4 +290,22 @@ func TestUnknownWorkloadPanics(t *testing.T) {
 		}
 	}()
 	Run(Config{Workload: "bogus", Mode: ModeBaseline, Seed: 1})
+}
+
+// TestUnknownWorkloadError: RunCtx rejects an unknown workload with a
+// structured error before it assembles any node, on one node and on a
+// cluster. The config also carries HPC params that would panic in node
+// assembly, so reaching the error proves nothing was built first.
+func TestUnknownWorkloadError(t *testing.T) {
+	bad := core.DefaultParams()
+	bad.HighUtil = bad.LowUtil - 1
+	for _, nodes := range []int{1, 4} {
+		_, err := RunCtx(context.Background(), Config{
+			Workload: "bogus", Mode: ModeUniform, Params: bad, Seed: 1, Nodes: nodes,
+		})
+		var ue *UnknownWorkloadError
+		if !errors.As(err, &ue) || ue.Workload != "bogus" {
+			t.Errorf("nodes=%d: RunCtx = %v, want *UnknownWorkloadError for %q", nodes, err, "bogus")
+		}
+	}
 }

@@ -81,7 +81,7 @@ func TestCompileZeroFaultIsEmpty(t *testing.T) {
 	if sc.Format() != "(no faults)" {
 		t.Fatalf("empty format = %q", sc.Format())
 	}
-	if inj := Install(nil, nil, sc); inj != nil {
+	if inj := InstallAt(nil, nil, 0, sc); inj != nil {
 		t.Fatal("installing an empty schedule returned a live injector")
 	}
 	var nilSchedule *Schedule

@@ -38,19 +38,15 @@ type Injector struct {
 	log []string
 }
 
-// Install wires schedule sc into the kernel (and world, which may be nil
-// when the run has no MPI job). An empty schedule installs nothing and
-// returns nil: the zero-fault run schedules no events, draws no RNG values
-// and touches no model state — provably a no-op. The returned Injector
-// records the applied timeline for determinism checks and reports.
-func Install(k *sched.Kernel, w *mpi.World, sc *Schedule) *Injector {
-	return InstallAt(k, w, 0, sc)
-}
-
-// InstallAt is Install scoped to one cluster node: k is the node's kernel,
-// and MPI-delay windows drive mpi.World.SetNodeExtraDelay(node, ·) so the
-// fault add-on composes with the rank-pair topology extras and with other
-// nodes' injectors instead of overwriting a global knob.
+// InstallAt wires schedule sc into cluster node `node`'s kernel k (and
+// world, which may be nil when the run has no MPI job); single-node runs
+// pass node 0. MPI-delay windows drive mpi.World.SetNodeExtraDelay(node, ·),
+// so the fault add-on composes with the rank-pair topology extras and with
+// other nodes' injectors instead of overwriting a global knob. An empty
+// schedule installs nothing and returns nil: the zero-fault run schedules
+// no events, draws no RNG values and touches no model state — provably a
+// no-op. The returned Injector records the applied timeline for
+// determinism checks and reports.
 func InstallAt(k *sched.Kernel, w *mpi.World, node int, sc *Schedule) *Injector {
 	if sc.Empty() {
 		return nil

@@ -164,8 +164,8 @@ type World struct {
 	ranks         []*Rank
 
 	// nodes holds the per-node transport state; single-node (and
-	// single-engine gang) worlds have exactly one entry. AttachNode
-	// registers additional engines.
+	// single-engine gang) worlds have exactly one entry, routed worlds one
+	// per engine (NewRoutedWorld).
 	nodes  []*nodeState
 	router Router
 
@@ -209,33 +209,26 @@ func NewWorld(k *sched.Kernel, size int, opts Options) *World {
 	return w
 }
 
-// AttachNode registers cluster node `node` as running on k's engine. Nodes
-// must be attached densely (1, 2, ...) before any rank is spawned there;
-// node 0 is the world's creating kernel. Returns the world for chaining.
-func (w *World) AttachNode(node int, k *sched.Kernel) *World {
-	if node != len(w.nodes) {
-		panic(fmt.Sprintf("mpi: AttachNode(%d) out of order (have %d nodes)", node, len(w.nodes)))
+// NewRoutedWorld creates a world spread over per-node engines coupled by
+// rt (the sharded-cluster transport): node n runs kernels[n], and rank i is
+// bound to node rankNodes[i] — kernel and transport state — before any rank
+// is spawned. Binding every rank up front is what lets a body send before
+// its peer is spawned: the send already prices and routes by the peer's
+// real node instead of the default node 0.
+func NewRoutedWorld(kernels []*sched.Kernel, rankNodes []int, opts Options, rt Router) *World {
+	w := NewWorld(kernels[0], len(rankNodes), opts)
+	for n := 1; n < len(kernels); n++ {
+		w.nodes = append(w.nodes, &nodeState{id: n, engine: kernels[n].Engine})
 	}
-	w.nodes = append(w.nodes, &nodeState{id: node, engine: k.Engine})
+	for i, n := range rankNodes {
+		w.bind(w.ranks[i], kernels[n], n)
+	}
+	w.router = rt
 	return w
 }
 
-// SetRouter installs the cross-node transport. Worlds whose nodes share one
-// engine (single-node runs, internal/gang) leave it nil and deliver
-// remote-latency messages on that engine directly.
-func (w *World) SetRouter(rt Router) { w.router = rt }
-
-// Nodes returns the number of attached nodes.
+// Nodes returns the number of nodes with their own transport state.
 func (w *World) Nodes() int { return len(w.nodes) }
-
-// ExtraDelay returns node 0's fault-injected per-message latency add-on.
-func (w *World) ExtraDelay() sim.Time { return w.nodes[0].extraDelay }
-
-// SetExtraDelay sets a latency add-on applied to every subsequent Send from
-// node 0 (the fault layer's injected MPI message delay; negative values are
-// clamped to zero). Messages already in flight are unaffected. Cluster runs
-// scope the knob per node with SetNodeExtraDelay.
-func (w *World) SetExtraDelay(d sim.Time) { w.SetNodeExtraDelay(0, d) }
 
 // SetNodeExtraDelay scopes the fault-injected latency add-on to one node's
 // outgoing messages: per-node fault schedules then compose with the
@@ -446,34 +439,23 @@ func (w *World) Spawn(i int, spec sched.TaskSpec, body func(*Rank)) *sched.Task 
 
 // SpawnAt launches rank i on the given kernel (a cluster node). The task
 // is NOT auto-watched: cluster runners track completion across kernels
-// themselves. When node is an attached node (AttachNode), k must run that
-// node's engine and the rank binds to its transport state; otherwise —
-// gang-style placement, where node numbers only select remote pricing — k
-// must share node 0's engine.
+// themselves. When node is a node of a routed world (NewRoutedWorld), k
+// must run that node's engine and the rank binds to its transport state;
+// otherwise — gang-style placement, where node numbers only select remote
+// pricing — k must share node 0's engine.
 func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
 	body func(*Rank)) *sched.Task {
 	r := w.ranks[i]
 	if r.task != nil {
 		panic(fmt.Sprintf("mpi: rank %d spawned twice", i))
 	}
-	ns := w.nodes[0]
-	if node >= 0 && node < len(w.nodes) {
-		ns = w.nodes[node]
-	}
-	if k.Engine != ns.engine {
-		panic(fmt.Sprintf("mpi: SpawnAt kernel does not run node %d's engine", node))
-	}
+	// Bind BEFORE AddProcess: run-to-block starts the body eagerly and runs
+	// it to its first blocking call, and any Send it issues on the way must
+	// already see the rank's real node.
+	w.bind(r, k, node)
 	if spec.Name == "" {
 		spec.Name = fmt.Sprintf("P%d", i+1) // the paper numbers processes P1..P4
 	}
-	// Bind the transport state BEFORE AddProcess: run-to-block starts the
-	// body eagerly and runs it to its first blocking call, and any Send it
-	// issues on the way must already see the rank's real node — binding
-	// afterwards would price those messages as node-local and thread them
-	// through node 0's delivery pool from another node's engine.
-	r.kernel = k
-	r.node = node
-	r.ns = ns
 	task := k.AddProcess(spec, func(env *sched.Env) {
 		r.env = env
 		r.task = env.Task()
@@ -481,6 +463,22 @@ func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
 	})
 	r.task = task
 	return task
+}
+
+// bind places r on node's transport state and kernel k. A Send reads the
+// target's binding at call time, so a rank must be bound before any peer
+// can address it.
+func (w *World) bind(r *Rank, k *sched.Kernel, node int) {
+	ns := w.nodes[0]
+	if node >= 0 && node < len(w.nodes) {
+		ns = w.nodes[node]
+	}
+	if k.Engine != ns.engine {
+		panic(fmt.Sprintf("mpi: kernel does not run node %d's engine", node))
+	}
+	r.kernel = k
+	r.node = node
+	r.ns = ns
 }
 
 // Rank is one MPI process.

@@ -26,7 +26,7 @@ func deliveryTime(t *testing.T, mutate func(w *World)) sim.Time {
 	return arrived
 }
 
-// TestPairExtraComposesWithNodeExtra pins the SetExtraDelay scoping fix:
+// TestPairExtraComposesWithNodeExtra pins the per-node delay scoping:
 // the per-rank-pair add-on (the cluster topology model) and the per-node
 // add-on (the mpidelay: fault clause) must compose additively on the same
 // message, not overwrite one global knob.
@@ -68,16 +68,5 @@ func TestPairExtraIsDirectional(t *testing.T) {
 	}
 	if d := w.MinPairExtraDelay([][2]int{{0, 1}, {1, 0}}); d != 0 {
 		t.Errorf("min over both directions = %v, want 0", d)
-	}
-}
-
-// TestLegacySetExtraDelayStillGlobalForNodeZero: the legacy entry point is
-// now an alias for node 0, keeping the single-node fault path intact.
-func TestLegacySetExtraDelay(t *testing.T) {
-	const extra = 2 * sim.Millisecond
-	base := deliveryTime(t, func(w *World) {})
-	legacy := deliveryTime(t, func(w *World) { w.SetExtraDelay(extra) })
-	if got := legacy - base; got != extra {
-		t.Errorf("SetExtraDelay shifted delivery by %v, want %v", got, extra)
 	}
 }

@@ -215,7 +215,7 @@ func runIdleImbalance() uint64 {
 	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
 	k := sched.NewKernel(e, chip, sched.Options{})
 	noise.Install(k, noise.DefaultConfig())
-	job := workloads.BuildBTMZ(k, workloads.BTMZConfig{
+	job := workloads.BuildBTMZ(workloads.OnKernel(k), workloads.BTMZConfig{
 		Iterations: 24,
 		ZoneWork: []sim.Time{
 			14 * sim.Millisecond,

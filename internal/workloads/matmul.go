@@ -61,23 +61,30 @@ func MatMulDAGStaticPrios() []power5.Priority {
 // BuildMatMulDAG constructs the job. Each rank pre-posts the receive for
 // the next panel it does not own before applying the current trailing
 // update, so communication for step k+1 overlaps computation of step k —
-// one panel of lookahead, exactly the dependency slack of the DAG.
-func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
-	n := len(cfg.UpdateWork)
-	if n < 2 {
+// one panel of lookahead, exactly the dependency slack of the DAG. On a
+// cluster the ranks are placed ROUND-ROBIN: panel ownership rotates rank
+// by rank, so consecutive owners — the migrating critical path — sit on
+// different nodes and every panel broadcast crosses the interconnect.
+func BuildMatMulDAG(pl Placement, cfg MatMulDAGConfig) *Job {
+	perNode := len(cfg.UpdateWork)
+	if perNode < 2 {
 		panic("workloads: MatMulDAG needs at least 2 ranks")
 	}
 	if cfg.Panels <= 0 {
 		panic("workloads: MatMulDAG needs panels")
 	}
-	w := mpi.NewWorld(k, n, mpi.DefaultOptions())
+	checkPrios("MatMulDAG", cfg.StaticPrios, perNode)
+	nodes := pl.Nodes()
+	n := perNode * nodes
+	rankNodes := make([]int, n)
+	for i := range rankNodes {
+		rankNodes[i] = i % nodes
+	}
+	w := pl.NewWorld(rankNodes)
 	job := &Job{Name: "matmul", World: w}
 	owner := func(step int) int { return step % n }
 	// Per-rank RNGs so jitter streams are independent of scheduling.
-	rngs := make([]*sim.RNG, n)
-	for i := range rngs {
-		rngs[i] = k.Engine.RNG().Split()
-	}
+	rngs := pl.RankRNGs(n, false)
 	jitter := func(rng *sim.RNG, d sim.Time) sim.Time {
 		if cfg.JitterFrac > 0 {
 			return rng.Jitter(d, cfg.JitterFrac)
@@ -86,7 +93,8 @@ func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		update := cfg.UpdateWork[i%perNode]
+		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			next := make([]mpi.Request, 0, 1)
 			post := func(step int) {
@@ -108,7 +116,7 @@ func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
 					r.Waitall(next) // the panel dependency gate
 				}
 				post(step + 1)
-				r.Compute(jitter(rngs[i], cfg.UpdateWork[i]))
+				r.Compute(jitter(rngs[i], update))
 			}
 		})
 		job.Tasks = append(job.Tasks, t)

@@ -3,6 +3,14 @@
 // analogue. The work parameters are calibrated so that the baseline runs
 // reproduce the per-process utilization signatures and execution times of
 // Tables III-VI (see EXPERIMENTS.md for the derivation).
+//
+// Every builder writes its rank bodies once and runs them on a Placement:
+// one kernel (OnKernel, the paper's machine) or the nodes of a sharded
+// cluster (*cluster.Cluster). A config describes one node's worth of ranks;
+// on N nodes the builder tiles that pattern N times — rank i takes the
+// per-node zone, worker cost and static priority of its position in the
+// pattern, and runs on node i / perNode (round-robin, i % N, for the
+// matrix-multiply DAG). On one node this is exactly the single-node job.
 package workloads
 
 import (
@@ -14,29 +22,95 @@ import (
 	"hpcsched/internal/sim"
 )
 
-// Job is a constructed workload: the MPI world plus its rank tasks.
+// Placement says where a job's ranks run.
+type Placement interface {
+	// Nodes returns the number of nodes the job spans.
+	Nodes() int
+	// NewWorld creates the job's MPI world with one rank per entry of
+	// rankNodes, rank i placed on node rankNodes[i] before any rank runs.
+	NewWorld(rankNodes []int) *mpi.World
+	// SpawnRank launches rank i of that world on its node.
+	SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task
+	// RankRNGs returns the workload's jitter streams for ranks 0..n-1. It
+	// must be called before the first SpawnRank. shared says the workload's
+	// ranks may share one stream when they run on one engine: the
+	// single-kernel placement then hands every rank the same
+	// Engine.RNG().Split() stream, and otherwise splits one stream per rank
+	// in rank order. That bit exists only to keep the single-node goldens
+	// byte-identical (MetBench and BT-MZ have always drawn from one shared
+	// stream, SIESTA and the DAG from per-rank ones). A cluster ignores it:
+	// its nodes run on different shards, so every rank gets its own stream.
+	RankRNGs(n int, shared bool) []*sim.RNG
+}
+
+// OnKernel places a whole job on one kernel: the classic single-node run.
+// Ranks are watched, so k.RunUntilWatchedExit runs until the job is done.
+func OnKernel(k *sched.Kernel) Placement { return &kernelPlacement{k: k} }
+
+type kernelPlacement struct {
+	k *sched.Kernel
+	w *mpi.World
+}
+
+func (p *kernelPlacement) Nodes() int { return 1 }
+
+func (p *kernelPlacement) NewWorld(rankNodes []int) *mpi.World {
+	p.w = mpi.NewWorld(p.k, len(rankNodes), mpi.DefaultOptions())
+	return p.w
+}
+
+func (p *kernelPlacement) SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
+	return p.w.Spawn(i, spec, body)
+}
+
+func (p *kernelPlacement) RankRNGs(n int, shared bool) []*sim.RNG {
+	rngs := make([]*sim.RNG, n)
+	for i := range rngs {
+		if shared && i > 0 {
+			rngs[i] = rngs[0]
+		} else {
+			rngs[i] = p.k.Engine.RNG().Split()
+		}
+	}
+	return rngs
+}
+
+// Job is a constructed workload: the MPI world plus its rank tasks, rank i
+// as Tasks[i].
 type Job struct {
 	Name  string
 	World *mpi.World
 	Tasks []*sched.Task
 }
 
-// spawn launches rank i with policy and an optional fixed hardware
-// priority (the hand-tuned static configuration of the paper's [5]).
-func spawn(w *mpi.World, i int, policy sched.Policy, prio power5.Priority,
-	body func(*mpi.Rank)) *sched.Task {
+// rankSpec is rank i's task spec: policy plus an optional fixed hardware
+// priority (the hand-tuned static configuration of the paper's [5]), the
+// per-node pattern prios tiled across the ranks.
+func rankSpec(policy sched.Policy, prios []power5.Priority, i int) sched.TaskSpec {
 	spec := sched.TaskSpec{Policy: policy}
-	if prio != 0 {
-		spec.HWPrio = prio
+	if prios != nil {
+		spec.HWPrio = prios[i%len(prios)]
 	}
-	return w.Spawn(i, spec, body)
+	return spec
 }
 
-func prioOf(prios []power5.Priority, i int) power5.Priority {
-	if prios == nil {
-		return 0
+// checkPrios panics unless prios is nil or holds exactly one priority per
+// rank of the single-node pattern: a shorter slice would silently reuse
+// priorities, a longer one would silently drop some.
+func checkPrios(workload string, prios []power5.Priority, perNode int) {
+	if prios != nil && len(prios) != perNode {
+		panic(fmt.Sprintf("workloads: %s needs %d static priorities, got %d",
+			workload, perNode, len(prios)))
 	}
-	return prios[i]
+}
+
+// blockNodes places n ranks perNode to a node in rank order.
+func blockNodes(n, perNode int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i / perNode
+	}
+	return nodes
 }
 
 // ---------------------------------------------------------------------------
@@ -56,7 +130,7 @@ type MetBenchConfig struct {
 	SmallWork   sim.Time
 	LargeWork   sim.Time
 	Policy      sched.Policy
-	StaticPrios []power5.Priority // per rank, nil for default
+	StaticPrios []power5.Priority // one per worker of a node, nil for default
 	JitterFrac  float64           // per-iteration work jitter (default 0)
 }
 
@@ -77,40 +151,44 @@ func MetBenchStaticPrios() []power5.Priority {
 		power5.PrioMedium, power5.PrioHigh}
 }
 
-// BuildMetBench constructs the job on the given kernel. As in the real
-// framework, a master process (rank 4, shown as "M") keeps the workers in
-// strict synchronisation: each iteration every worker reports completion
-// and waits for the master's go-ahead. The master is what gives even the
+// BuildMetBench constructs the job. As in the real framework, a master
+// process (the last rank, shown as "M") keeps the workers in strict
+// synchronisation: each iteration every worker reports completion and
+// waits for the master's go-ahead. The master is what gives even the
 // slowest worker a wait phase each iteration — the iteration boundary the
-// Load Imbalance Detector feeds on.
-func BuildMetBench(k *sched.Kernel, cfg MetBenchConfig) *Job {
+// Load Imbalance Detector feeds on. On a cluster every node runs
+// cfg.Workers workers and the master sits on node 0, so the iteration
+// barrier spans the interconnect.
+func BuildMetBench(pl Placement, cfg MetBenchConfig) *Job {
 	if cfg.Iterations <= 0 {
 		panic("workloads: MetBench needs iterations")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 4
+	perNode := cfg.Workers
+	if perNode == 0 {
+		perNode = 4
 	}
-	if workers < 2 {
+	if perNode < 2 {
 		panic("workloads: MetBench needs at least 2 workers")
 	}
-	w := mpi.NewWorld(k, workers+1, mpi.DefaultOptions())
-	job := &Job{Name: "metbench", World: w}
-	rng := k.Engine.RNG().Split()
+	checkPrios("MetBench", cfg.StaticPrios, perNode)
+	workers := perNode * pl.Nodes()
 	master := workers
+	w := pl.NewWorld(append(blockNodes(workers, perNode), 0))
+	job := &Job{Name: "metbench", World: w}
+	rngs := pl.RankRNGs(workers, true)
 	for i := 0; i < workers; i++ {
 		i := i
 		work := cfg.SmallWork
 		if i%2 == 1 {
 			work = cfg.LargeWork
 		}
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			// Initialization: configuration exchange with the master.
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
 				d := work
 				if cfg.JitterFrac > 0 {
-					d = rng.Jitter(work, cfg.JitterFrac)
+					d = rngs[i].Jitter(work, cfg.JitterFrac)
 				}
 				r.Compute(d)
 				r.Send(master, 1+it, 64) // report completion
@@ -119,22 +197,28 @@ func BuildMetBench(k *sched.Kernel, cfg MetBenchConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	mt := w.Spawn(master, sched.TaskSpec{Name: "M", Policy: cfg.Policy},
+	job.Tasks = append(job.Tasks, spawnMaster(pl, master, cfg.Policy, cfg.Iterations))
+	return job
+}
+
+// spawnMaster launches the MetBench master: it releases every worker,
+// then each iteration collects every completion report and answers with
+// the go-ahead.
+func spawnMaster(pl Placement, master int, policy sched.Policy, iterations int) *sched.Task {
+	return pl.SpawnRank(master, sched.TaskSpec{Name: "M", Policy: policy},
 		func(r *mpi.Rank) {
-			for p := 0; p < workers; p++ {
+			for p := 0; p < master; p++ {
 				r.Send(p, 0, 1024)
 			}
-			for it := 0; it < cfg.Iterations; it++ {
-				for p := 0; p < workers; p++ {
+			for it := 0; it < iterations; it++ {
+				for p := 0; p < master; p++ {
 					r.Recv(p, 1+it)
 				}
-				for p := 0; p < workers; p++ {
+				for p := 0; p < master; p++ {
 					r.Send(p, 1+it, 64)
 				}
 			}
 		})
-	job.Tasks = append(job.Tasks, mt)
-	return job
 }
 
 // ---------------------------------------------------------------------------
@@ -166,17 +250,21 @@ func DefaultMetBenchVar() MetBenchVarConfig {
 }
 
 // BuildMetBenchVar constructs the job (same master/worker structure as
-// MetBench, with the load roles reversing every K iterations).
-func BuildMetBenchVar(k *sched.Kernel, cfg MetBenchVarConfig) *Job {
+// MetBench, four workers per node, with the load roles reversing every K
+// iterations).
+func BuildMetBenchVar(pl Placement, cfg MetBenchVarConfig) *Job {
 	if cfg.Iterations <= 0 || cfg.K <= 0 {
 		panic("workloads: MetBenchVar needs iterations and K")
 	}
-	w := mpi.NewWorld(k, 5, mpi.DefaultOptions())
+	const perNode = 4
+	checkPrios("MetBenchVar", cfg.StaticPrios, perNode)
+	workers := perNode * pl.Nodes()
+	master := workers
+	w := pl.NewWorld(append(blockNodes(workers, perNode), 0))
 	job := &Job{Name: "metbenchvar", World: w}
-	const master = 4
-	for i := 0; i < 4; i++ {
+	for i := 0; i < workers; i++ {
 		i := i
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
 				period := it / cfg.K
@@ -195,21 +283,7 @@ func BuildMetBenchVar(k *sched.Kernel, cfg MetBenchVarConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	mt := w.Spawn(master, sched.TaskSpec{Name: "M", Policy: cfg.Policy},
-		func(r *mpi.Rank) {
-			for p := 0; p < 4; p++ {
-				r.Send(p, 0, 1024)
-			}
-			for it := 0; it < cfg.Iterations; it++ {
-				for p := 0; p < 4; p++ {
-					r.Recv(p, 1+it)
-				}
-				for p := 0; p < 4; p++ {
-					r.Send(p, 1+it, 64)
-				}
-			}
-		})
-	job.Tasks = append(job.Tasks, mt)
+	job.Tasks = append(job.Tasks, spawnMaster(pl, master, cfg.Policy, cfg.Iterations))
 	return job
 }
 
@@ -271,33 +345,45 @@ func BTMZStaticPrios() []power5.Priority {
 		power5.PrioMediumHigh, power5.PrioHigh}
 }
 
-// BuildBTMZ constructs the job.
-func BuildBTMZ(k *sched.Kernel, cfg BTMZConfig) *Job {
-	n := len(cfg.ZoneWork)
-	if n < 2 {
+// BuildBTMZ constructs the job. On a cluster the zones of every node join
+// one global neighbour-exchange chain (block placement, so exactly one
+// boundary pair per node border crosses the interconnect), and the
+// per-iteration residual reduction stays rooted at rank 0.
+func BuildBTMZ(pl Placement, cfg BTMZConfig) *Job {
+	perNode := len(cfg.ZoneWork)
+	if perNode < 2 {
 		panic("workloads: BT-MZ needs at least 2 ranks")
 	}
-	w := mpi.NewWorld(k, n, mpi.DefaultOptions())
+	checkPrios("BT-MZ", cfg.StaticPrios, perNode)
+	nodes := pl.Nodes()
+	n := perNode * nodes
+	w := pl.NewWorld(blockNodes(n, perNode))
 	job := &Job{Name: "btmz", World: w}
-	rng := k.Engine.RNG().Split()
-	// Spawn (and therefore place) ranks so P1/P4 share core 0 and P2/P3
-	// share core 1, the layout the paper's static-priority utilizations
-	// identify. For other rank counts, fall back to rank order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if n == 4 {
-		order = []int{0, 3, 1, 2}
+	rngs := pl.RankRNGs(n, true)
+	// Spawn (and therefore place) each node's ranks so P1/P4 share core 0
+	// and P2/P3 share core 1, the layout the paper's static-priority
+	// utilizations identify. For other rank counts, fall back to rank
+	// order.
+	order := make([]int, 0, n)
+	for g := 0; g < nodes; g++ {
+		if perNode == 4 {
+			order = append(order, g*4+0, g*4+3, g*4+1, g*4+2)
+		} else {
+			for o := 0; o < perNode; o++ {
+				order = append(order, g*perNode+o)
+			}
+		}
 	}
 	tasks := make([]*sched.Task, n)
 	for _, i := range order {
 		i := i
+		zone := cfg.ZoneWork[i%perNode]
 		weights := [3]float64{0.33, 0.34, 0.33}
 		if cfg.PhaseWeights != nil {
-			weights = cfg.PhaseWeights[i]
+			weights = cfg.PhaseWeights[i%len(cfg.PhaseWeights)]
 		}
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		rng := rngs[i]
+		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			// Boundary exchange is pipelined one sweep deep, as in the
 			// real code: the data sent after sweep k is consumed by the
@@ -309,7 +395,7 @@ func BuildBTMZ(k *sched.Kernel, cfg BTMZConfig) *Job {
 			recvs := make([]mpi.Request, 0, 2)
 			for it := 0; it < cfg.Iterations; it++ {
 				for phase := 0; phase < 3; phase++ {
-					d := sim.Time(float64(cfg.ZoneWork[i]) * weights[phase])
+					d := sim.Time(float64(zone) * weights[phase])
 					if cfg.JitterFrac > 0 {
 						d = rng.Jitter(d, cfg.JitterFrac)
 					}
@@ -372,7 +458,7 @@ type SiestaConfig struct {
 	RequestBytes  int64
 	ResponseBytes int64
 	Policy        sched.Policy
-	StaticPrios   []power5.Priority
+	StaticPrios   []power5.Priority // the master, then ranks 1..3; nil for default
 }
 
 // DefaultSiesta returns the Table VI calibration (benzene-like: utils
@@ -394,33 +480,40 @@ func DefaultSiesta() SiestaConfig {
 	}
 }
 
-// BuildSiesta constructs the job.
-func BuildSiesta(k *sched.Kernel, cfg SiestaConfig) *Job {
-	if len(cfg.WorkerWork) != 3 {
-		panic("workloads: SIESTA analogue uses exactly 4 ranks")
+// BuildSiesta constructs the job. On a cluster the master stays on node 0
+// and farms sub-steps to three workers per node (workers 1..3 beside the
+// master, the next three on node 1, and so on), the per-worker costs and
+// static priorities cycling through the single-node calibration.
+func BuildSiesta(pl Placement, cfg SiestaConfig) *Job {
+	perNode := len(cfg.WorkerWork)
+	if perNode != 3 {
+		panic("workloads: SIESTA analogue uses exactly 4 ranks per node")
 	}
-	w := mpi.NewWorld(k, 4, mpi.DefaultOptions())
+	checkPrios("SIESTA", cfg.StaticPrios, perNode+1) // the master, then 3 workers
+	nw := perNode * pl.Nodes()
+	nodes := make([]int, nw+1) // the master is rank 0, on node 0
+	for q := 1; q <= nw; q++ {
+		nodes[q] = (q - 1) / perNode
+	}
+	w := pl.NewWorld(nodes)
 	job := &Job{Name: "siesta", World: w}
 	total := cfg.SCFIterations * cfg.SubSteps
 	// Per-rank RNGs so jitter streams are independent of scheduling.
-	rngs := make([]*sim.RNG, 4)
-	for i := range rngs {
-		rngs[i] = k.Engine.RNG().Split()
-	}
+	rngs := pl.RankRNGs(nw+1, false)
 	// Master (P1): computes sub-steps back to back, sending one request
 	// per worker per sub-step and collecting the responses of sub-step
 	// j-2 — deep enough pipelining that the master almost never blocks.
-	t := spawn(w, 0, cfg.Policy, prioOf(cfg.StaticPrios, 0), func(r *mpi.Rank) {
+	t := pl.SpawnRank(0, rankSpec(cfg.Policy, cfg.StaticPrios, 0), func(r *mpi.Rank) {
 		r.Barrier()
 		const depth = 2
 		for j := 0; j < total; j++ {
 			r.Compute(rngs[0].Jitter(cfg.MasterWork, cfg.JitterFrac))
-			for p := 1; p <= 3; p++ {
+			for p := 1; p <= nw; p++ {
 				r.Send(p, j, cfg.RequestBytes)
 			}
 			if j >= depth {
 				var reqs []mpi.Request
-				for p := 1; p <= 3; p++ {
+				for p := 1; p <= nw; p++ {
 					reqs = append(reqs, r.Irecv(p, j-depth))
 				}
 				r.Waitall(reqs)
@@ -432,17 +525,17 @@ func BuildSiesta(k *sched.Kernel, cfg SiestaConfig) *Job {
 				continue
 			}
 			var reqs []mpi.Request
-			for p := 1; p <= 3; p++ {
+			for p := 1; p <= nw; p++ {
 				reqs = append(reqs, r.Irecv(p, j))
 			}
 			r.Waitall(reqs)
 		}
 	})
 	job.Tasks = append(job.Tasks, t)
-	for p := 1; p <= 3; p++ {
+	for p := 1; p <= nw; p++ {
 		p := p
-		work := cfg.WorkerWork[p-1]
-		t := spawn(w, p, cfg.Policy, prioOf(cfg.StaticPrios, p), func(r *mpi.Rank) {
+		work := cfg.WorkerWork[(p-1)%perNode]
+		t := pl.SpawnRank(p, rankSpec(cfg.Policy, cfg.StaticPrios, p), func(r *mpi.Rank) {
 			r.Barrier()
 			for j := 0; j < total; j++ {
 				r.Recv(0, j)

@@ -3,7 +3,9 @@ package workloads
 import (
 	"testing"
 
+	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
+	"hpcsched/internal/mpi"
 	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
@@ -21,7 +23,7 @@ func TestMetBenchStructure(t *testing.T) {
 	cfg.Iterations = 3
 	cfg.SmallWork = 10 * sim.Millisecond
 	cfg.LargeWork = 40 * sim.Millisecond
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	if len(job.Tasks) != 5 {
 		t.Fatalf("tasks = %d, want 4 workers + master", len(job.Tasks))
 	}
@@ -53,7 +55,7 @@ func TestMetBenchPlacementInterleaved(t *testing.T) {
 	cfg.Iterations = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	// Small+large per core: P1/P2 on core 0, P3/P4 on core 1.
 	if job.Tasks[0].CPU/2 != job.Tasks[1].CPU/2 {
@@ -74,7 +76,7 @@ func TestMetBenchStaticPriosApplied(t *testing.T) {
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
 	cfg.StaticPrios = MetBenchStaticPrios()
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	for i, want := range []power5.Priority{4, 6, 4, 6} {
 		if job.Tasks[i].HWPrio != want {
@@ -91,7 +93,7 @@ func TestMetBenchVarReversesRoles(t *testing.T) {
 	cfg.K = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBenchVar(k, cfg)
+	job := BuildMetBenchVar(OnKernel(k), cfg)
 	end := k.RunUntilWatchedExit(10 * sim.Second)
 	if end >= 10*sim.Second {
 		t.Fatal("MetBenchVar deadlocked")
@@ -118,7 +120,7 @@ func TestBTMZStructure(t *testing.T) {
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(k, cfg)
+	job := BuildBTMZ(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
@@ -154,7 +156,7 @@ func TestBTMZHeaviestRankSleepsEachIteration(t *testing.T) {
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(k, cfg)
+	job := BuildBTMZ(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	// The residual reduction gives even P4 a wait phase per iteration —
 	// the detector's trigger.
@@ -169,7 +171,7 @@ func TestSiestaStructure(t *testing.T) {
 	cfg := DefaultSiesta()
 	cfg.SCFIterations = 2
 	cfg.SubSteps = 5
-	job := BuildSiesta(k, cfg)
+	job := BuildSiesta(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
@@ -195,26 +197,71 @@ func TestSiestaStructure(t *testing.T) {
 	k.Shutdown()
 }
 
+// placements returns fresh single-kernel and 2-node cluster placements, so
+// every config check runs through both.
+func placements(t *testing.T) map[string]func() Placement {
+	return map[string]func() Placement{
+		"kernel": func() Placement { return OnKernel(newKernel(1)) },
+		"cluster": func() Placement {
+			c, err := cluster.New(cluster.Config{
+				Nodes: 2, Shards: 1, Seed: 1, MPI: mpi.DefaultOptions(),
+				NewNode: func(_ int, e *sim.Engine) *sched.Kernel {
+					return sched.NewKernel(e, power5.NewChip(2, power5.NewCalibratedPerfModel()), sched.DefaultOptions())
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+	}
+}
+
+// expectPanics runs every invalid build on every placement.
+func expectPanics(t *testing.T, builds map[string]func(Placement)) {
+	t.Helper()
+	for pname, newPlacement := range placements(t) {
+		for name, build := range builds {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s/%s: invalid config did not panic", pname, name)
+					}
+				}()
+				build(newPlacement())
+			}()
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
-	k := newKernel(1)
-	for name, f := range map[string]func(){
-		"metbench-iters":    func() { BuildMetBench(k, MetBenchConfig{}) },
-		"metbenchvar-iters": func() { BuildMetBenchVar(k, MetBenchVarConfig{Iterations: 3}) },
-		"btmz-ranks":        func() { BuildBTMZ(k, BTMZConfig{Iterations: 1, ZoneWork: []sim.Time{1}}) },
-		"siesta-workers": func() {
-			BuildSiesta(k, SiestaConfig{SCFIterations: 1, SubSteps: 1,
+	expectPanics(t, map[string]func(Placement){
+		"metbench-iters":    func(p Placement) { BuildMetBench(p, MetBenchConfig{}) },
+		"metbench-workers":  func(p Placement) { BuildMetBench(p, MetBenchConfig{Iterations: 1, Workers: 1}) },
+		"metbenchvar-iters": func(p Placement) { BuildMetBenchVar(p, MetBenchVarConfig{Iterations: 3}) },
+		"btmz-ranks":        func(p Placement) { BuildBTMZ(p, BTMZConfig{Iterations: 1, ZoneWork: []sim.Time{1}}) },
+		"siesta-workers": func(p Placement) {
+			BuildSiesta(p, SiestaConfig{SCFIterations: 1, SubSteps: 1,
 				WorkerWork: []sim.Time{1, 2}})
 		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: invalid config did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+		// A static-priority pattern must cover exactly one node's ranks.
+		"metbench-prios": func(p Placement) {
+			BuildMetBench(p, MetBenchConfig{Iterations: 1, Workers: 8,
+				StaticPrios: MetBenchStaticPrios()})
+		},
+		"metbenchvar-prios": func(p Placement) {
+			BuildMetBenchVar(p, MetBenchVarConfig{Iterations: 3, K: 1,
+				StaticPrios: MetBenchStaticPrios()[:3]})
+		},
+		"btmz-prios": func(p Placement) {
+			BuildBTMZ(p, BTMZConfig{Iterations: 1, ZoneWork: []sim.Time{1, 2},
+				StaticPrios: BTMZStaticPrios()})
+		},
+		"siesta-prios": func(p Placement) {
+			BuildSiesta(p, SiestaConfig{SCFIterations: 1, SubSteps: 1,
+				WorkerWork: []sim.Time{1, 2, 3}, StaticPrios: BTMZStaticPrios()[:3]})
+		},
+	})
 }
 
 func TestNamesAndDescribe(t *testing.T) {
@@ -245,7 +292,7 @@ func TestMetBenchScalesToEightWorkers(t *testing.T) {
 	cfg.SmallWork = 40 * sim.Millisecond
 	cfg.LargeWork = 230 * sim.Millisecond
 	cfg.Policy = sched.PolicyHPC
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	end := k.RunUntilWatchedExit(60 * sim.Second)
 	if end >= 60*sim.Second {
 		t.Fatal("8-worker MetBench deadlocked")
@@ -270,7 +317,7 @@ func TestJitterChangesTimingNotStructure(t *testing.T) {
 		cfg.SmallWork = 5 * sim.Millisecond
 		cfg.LargeWork = 20 * sim.Millisecond
 		cfg.JitterFrac = j
-		BuildMetBench(k, cfg)
+		BuildMetBench(OnKernel(k), cfg)
 		end := k.RunUntilWatchedExit(10 * sim.Second)
 		k.Shutdown()
 		return end
@@ -288,7 +335,7 @@ func TestMatMulDAGStructure(t *testing.T) {
 	k := newKernel(1)
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 12
-	job := BuildMatMulDAG(k, cfg)
+	job := BuildMatMulDAG(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d, want one per UpdateWork entry", len(job.Tasks))
 	}
@@ -316,20 +363,14 @@ func TestMatMulDAGStructure(t *testing.T) {
 }
 
 func TestMatMulDAGValidation(t *testing.T) {
-	k := newKernel(1)
-	for name, f := range map[string]func(){
-		"ranks":  func() { BuildMatMulDAG(k, MatMulDAGConfig{Panels: 2, UpdateWork: []sim.Time{1}}) },
-		"panels": func() { BuildMatMulDAG(k, MatMulDAGConfig{UpdateWork: []sim.Time{1, 2}}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: invalid config did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	expectPanics(t, map[string]func(Placement){
+		"ranks":  func(p Placement) { BuildMatMulDAG(p, MatMulDAGConfig{Panels: 2, UpdateWork: []sim.Time{1}}) },
+		"panels": func(p Placement) { BuildMatMulDAG(p, MatMulDAGConfig{UpdateWork: []sim.Time{1, 2}}) },
+		"prios": func(p Placement) {
+			BuildMatMulDAG(p, MatMulDAGConfig{Panels: 2, UpdateWork: []sim.Time{1, 2},
+				StaticPrios: MatMulDAGStaticPrios()})
+		},
+	})
 }
 
 func TestMatMulDAGStaticPriosApplied(t *testing.T) {
@@ -337,7 +378,7 @@ func TestMatMulDAGStaticPriosApplied(t *testing.T) {
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 4
 	cfg.StaticPrios = MatMulDAGStaticPrios()
-	job := BuildMatMulDAG(k, cfg)
+	job := BuildMatMulDAG(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(60 * sim.Second)
 	for i, want := range MatMulDAGStaticPrios() {
 		if job.Tasks[i].HWPrio != want {
