@@ -18,14 +18,15 @@ import (
 	"runtime"
 	"testing"
 
+	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
 	"hpcsched/internal/experiments"
-	"hpcsched/internal/gang"
 	"hpcsched/internal/noise"
 	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
+	"hpcsched/internal/workloads"
 )
 
 // baselines caches baseline execution times per workload (benchmarks run
@@ -409,14 +410,18 @@ func BenchmarkBatchReproduceTable(b *testing.B) {
 // cluster: block (naive), round-robin and the LPT gang scheduler, each
 // with per-node HPCSched balancing.
 func BenchmarkGangScheduling(b *testing.B) {
-	job := gang.DefaultJob()
-	cfg := gang.Config{Nodes: 2, Seed: 42, HPC: gang.HPCConfigForCluster()}
-	for _, p := range []gang.Placer{gang.BlockPlacer{}, gang.RoundRobinPlacer{}, gang.LPTPlacer{}} {
+	job := workloads.DefaultGang()
+	cfg := experiments.Config{Mode: experiments.ModeUniform, Seed: 42, Nodes: 2}
+	for _, p := range []cluster.Placer{cluster.BlockPlacer{}, cluster.RoundRobinPlacer{}, cluster.LPTPlacer{}} {
 		p := p
 		b.Run(p.Name(), func(b *testing.B) {
-			var last gang.ExperimentResult
+			var last experiments.PlacerResult
 			for i := 0; i < b.N; i++ {
-				last = gang.RunExperiment(cfg, job, p)
+				results, err := experiments.ComparePlacers(cfg, job, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = results[0]
 			}
 			b.ReportMetric(last.ExecTime.Seconds(), "sim_s")
 			b.ReportMetric(last.MaxLoad, "max_node_load")

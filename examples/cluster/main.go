@@ -7,19 +7,25 @@ package main
 
 import (
 	"fmt"
+	"log"
 
-	"hpcsched/internal/gang"
+	"hpcsched/internal/cluster"
+	"hpcsched/internal/experiments"
+	"hpcsched/internal/workloads"
 )
 
 func main() {
 	fmt.Println("Gang scheduling on a 2-node POWER5 cluster (paper §VI)")
 	fmt.Println()
 
-	job := gang.DefaultJob()
-	cfg := gang.Config{Nodes: 2, Seed: 42, HPC: gang.HPCConfigForCluster()}
+	job := workloads.DefaultGang()
+	cfg := experiments.Config{Mode: experiments.ModeUniform, Seed: 42, Nodes: 2}
 
-	results := gang.ComparePlacers(cfg, job)
-	fmt.Print(gang.FormatComparison(results))
+	results, err := experiments.ComparePlacers(cfg, job)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(experiments.FormatComparison(results))
 	fmt.Println()
 
 	fmt.Println("Per-rank report under the gang (LPT) placement:")
@@ -32,14 +38,16 @@ func main() {
 
 	// Isolate the two levels: placement (gang) vs in-node balancing
 	// (HPCSched).
-	jobNoHPC := job
-	jobNoHPC.UseHPC = false
-	withHPC := gang.RunExperiment(cfg, job, gang.LPTPlacer{})
-	without := gang.RunExperiment(gang.Config{Nodes: 2, Seed: 42}, jobNoHPC, gang.LPTPlacer{})
-	fmt.Printf("gang placement alone:        %.2fs\n", without.ExecTime.Seconds())
+	baseline := cfg
+	baseline.Mode = experiments.ModeBaseline
+	without, err := experiments.ComparePlacers(baseline, job, cluster.LPTPlacer{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("gang placement alone:        %.2fs\n", without[0].ExecTime.Seconds())
 	fmt.Printf("gang placement + HPCSched:   %.2fs (%+.1f%%)\n",
-		withHPC.ExecTime.Seconds(),
-		100*(1-withHPC.ExecTime.Seconds()/without.ExecTime.Seconds()))
+		lpt.ExecTime.Seconds(),
+		100*(1-lpt.ExecTime.Seconds()/without[0].ExecTime.Seconds()))
 	fmt.Println()
 	fmt.Println("The gang level fixes what placement can fix (whole-rank moves);")
 	fmt.Println("the node level fixes what only the hardware can fix (decode-slot")

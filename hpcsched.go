@@ -113,12 +113,6 @@ type (
 	DegradedTableStats = experiments.DegradedTableStats
 	// Mode selects the scheduler configuration of an experiment.
 	Mode = experiments.Mode
-	// BatchOptions tunes the parallel batch runner (workers, progress).
-	//
-	// Deprecated: use ExecOptions (the zero value is the same soft pool).
-	BatchOptions = experiments.BatchOptions
-	// BatchResult holds a batch's results in submission order.
-	BatchResult = experiments.BatchResult
 
 	// ScenarioSpec is the unified run request: workload, scheduler
 	// mode(s), replica seeds, fault spec, horizon, trace sink and pool
@@ -352,65 +346,6 @@ func SelectSchedulers(ctx context.Context, scenarios []SelectorScenario, opts Se
 // workload.
 func DefaultSelectorScenarios(workload string) []SelectorScenario {
 	return selector.DefaultScenarios(workload)
-}
-
-// RunExperiment executes one configured experiment run.
-//
-// Deprecated: use Run with ScenarioSpec{Advanced: &cfg} (or the spec's
-// first-class fields); this wrapper remains for compatibility.
-func RunExperiment(cfg ExperimentConfig) ExperimentResult {
-	sr, err := Run(context.Background(), ScenarioSpec{Advanced: &cfg})
-	if err != nil {
-		panic(err) // unreachable: background context, soft pool
-	}
-	return sr.Results[0]
-}
-
-// ReproduceTable regenerates one of the paper's tables
-// ("metbench" → Table III, "metbenchvar" → IV, "btmz" → V, "siesta" → VI).
-//
-// Deprecated: use Run with Modes: TableModes(workload) and render with
-// FormatTable.
-func ReproduceTable(workload string, seed uint64) TableResult {
-	sr, err := Run(context.Background(), ScenarioSpec{
-		Workload: workload, Seed: seed, Modes: TableModes(workload),
-	})
-	if err != nil {
-		panic(err) // unreachable: background context, soft pool
-	}
-	return TableResult{Workload: workload, Rows: sr.Results}
-}
-
-// RunBatch executes a slice of experiment configs on a worker pool
-// (default: one worker per CPU). Results come back in submission order,
-// and the determinism contract holds: same configs → identical results
-// at any worker count. Cancel ctx to stop early; see BatchOptions for
-// workers and progress reporting.
-//
-// Deprecated: use Sweep with one ScenarioSpec per config (Advanced
-// carries a verbatim config), or a single spec when the configs only
-// differ in seed or mode.
-func RunBatch(ctx context.Context, cfgs []ExperimentConfig, opts BatchOptions) (BatchResult, error) {
-	grid := make([]ScenarioSpec, len(cfgs))
-	for i := range cfgs {
-		grid[i] = ScenarioSpec{Advanced: &cfgs[i]}
-	}
-	srs, err := Sweep(ctx, grid, opts.Exec())
-	br := BatchResult{Results: make([]ExperimentResult, 0, len(cfgs))}
-	for _, sr := range srs {
-		br.Results = append(br.Results, sr.Results...)
-	}
-	return br, err
-}
-
-// ReproduceTableStats regenerates a paper table over several replication
-// seeds in parallel and aggregates mean, spread and 95% confidence
-// intervals per mode.
-//
-// Deprecated: use Run with Seeds and Modes set and aggregate from the
-// ScenarioResult, or keep this wrapper for the pre-rendered table.
-func ReproduceTableStats(ctx context.Context, workload string, seeds []uint64, opts BatchOptions) (TableStats, error) {
-	return experiments.RunTableStatsBatch(ctx, workload, seeds, opts)
 }
 
 // ReplicaSeeds returns n independent replication seeds derived from

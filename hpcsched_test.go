@@ -97,31 +97,6 @@ func TestFacadeHeuristicsExported(t *testing.T) {
 	}
 }
 
-func TestFacadeReproduceTable(t *testing.T) {
-	tr := hpcsched.ReproduceTable("metbench", 42)
-	if len(tr.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tr.Rows))
-	}
-	if imp := tr.ImprovementOf(hpcsched.ModeUniform); imp < 0.08 {
-		t.Errorf("uniform improvement = %v, want ≥8%%", imp)
-	}
-	if !strings.Contains(tr.Format(), "Uniform") {
-		t.Error("Format output malformed")
-	}
-}
-
-func TestFacadeRunExperiment(t *testing.T) {
-	r := hpcsched.RunExperiment(hpcsched.ExperimentConfig{
-		Workload: "siesta", Mode: hpcsched.ModeHPCOnly, Seed: 42,
-	})
-	if r.ExecTime <= 0 || len(r.Summaries) != 4 {
-		t.Fatalf("experiment malformed: %v, %d summaries", r.ExecTime, len(r.Summaries))
-	}
-	if r.HPC == nil {
-		t.Fatal("HPC class missing from HPC-mode result")
-	}
-}
-
 func TestFacadeCustomCores(t *testing.T) {
 	m := hpcsched.NewMachine(hpcsched.MachineConfig{Seed: 4, Cores: 4})
 	if m.Chip.NumCPUs() != 8 {

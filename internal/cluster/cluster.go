@@ -399,13 +399,10 @@ type Cluster struct {
 	// onWindow, when non-nil, observes every executed window (tests only).
 	onWindow func(windowStat)
 
-	pending  []int  // per-node unexited spawned ranks (owner shard only)
 	done     []bool // owner shard only
 	ends     []sim.Time
 	capped   []bool // node hit the horizon with ranks pending
 	rankNode []int
-
-	watched []map[*sched.Task]bool
 
 	abort    atomic.Bool
 	abortMu  sync.Mutex
@@ -437,8 +434,9 @@ type Cluster struct {
 }
 
 // New builds the node engines and kernels. Ranks are placed with NewWorld
-// and launched with SpawnRank; call Finalize after the last spawn, then
-// Run.
+// and launched with World.Spawn, which watches each rank on its node's
+// kernel: a node is finished when its kernel watches no live rank. Call
+// Finalize after the last spawn, then Run.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -465,11 +463,9 @@ func New(cfg Config) (*Cluster, error) {
 		clocks:  make([]atomic.Int64, cfg.Nodes),
 		pools:   make([]injectPool, cfg.Nodes),
 		staging: make([][]xmsg, cfg.Nodes),
-		pending: make([]int, cfg.Nodes),
 		done:    make([]bool, cfg.Nodes),
 		ends:    make([]sim.Time, cfg.Nodes),
 		capped:  make([]bool, cfg.Nodes),
-		watched: make([]map[*sched.Task]bool, cfg.Nodes),
 		eot:     make([]atomic.Int64, cfg.Nodes),
 		windows: make([]int64, cfg.Nodes),
 		elided:  make([]int64, cfg.Nodes),
@@ -516,37 +512,6 @@ func (c *Cluster) NewWorld(rankNodes []int) *mpi.World {
 	return c.World
 }
 
-// SpawnRank launches rank i on the node NewWorld placed it on and registers
-// it for completion tracking: a node is finished when its last spawned rank
-// exits, which stops the node's engine mid-window.
-func (c *Cluster) SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
-	if c.World == nil {
-		panic("cluster: SpawnRank before NewWorld")
-	}
-	node := c.rankNode[i]
-	task := c.World.SpawnAt(i, c.Kernels[node], node, spec, body)
-	c.pending[node]++
-	if c.watched[node] == nil {
-		c.watched[node] = make(map[*sched.Task]bool)
-		k := c.Kernels[node]
-		prev := k.OnTaskExit
-		k.OnTaskExit = func(t *sched.Task) {
-			if prev != nil {
-				prev(t)
-			}
-			if c.watched[node][t] {
-				delete(c.watched[node], t)
-				c.pending[node]--
-				if c.pending[node] == 0 {
-					k.Engine.Stop()
-				}
-			}
-		}
-	}
-	c.watched[node][task] = true
-	return task
-}
-
 // clusterRankSalt separates the per-rank workload RNG streams.
 const clusterRankSalt = 0x2a8c_0000_0000_0000
 
@@ -569,7 +534,7 @@ func (c *Cluster) RankNode(i int) int { return c.rankNode[i] }
 // Finalize applies the topology's per-rank-pair latency add-ons (placement
 // must be complete) and computes the lookahead floor, rejecting a
 // non-positive floor with *LookaheadError. It must be called once, after
-// the last SpawnRank and before Run.
+// the last Spawn and before Run.
 func (c *Cluster) Finalize() error {
 	if c.World == nil {
 		return fmt.Errorf("cluster: Finalize before NewWorld")
@@ -966,7 +931,7 @@ func (c *Cluster) afterRun(i int) bool {
 	if !eng.Stopped() {
 		return false
 	}
-	if c.pending[i] == 0 {
+	if c.Kernels[i].Watching() == 0 {
 		c.finish(i, false)
 		return true
 	}
@@ -1161,7 +1126,7 @@ func (c *Cluster) runWindow(i int, now, h sim.Time) {
 	}
 	c.clocks[i].Store(int64(eng.Now()))
 	if eng.Now() >= c.horizon {
-		c.finish(i, c.pending[i] > 0)
+		c.finish(i, c.Kernels[i].Watching() > 0)
 		return
 	}
 	if !c.cfg.FloorPacing {
@@ -1334,6 +1299,14 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 		horizon = 3600 * sim.Second
 	}
 	c.horizon = horizon
+	// A node with no live rank — none placed there, or every body returned
+	// at spawn — is finished before its engine runs: its OS noise alone
+	// must not carry it to the horizon.
+	for i, k := range c.Kernels {
+		if k.Watching() == 0 {
+			c.finish(i, false)
+		}
+	}
 	var wg sync.WaitGroup
 	for s := 1; s < c.shards; s++ {
 		wg.Add(1)

@@ -39,7 +39,7 @@ func buildRingJob(t *testing.T, cfg Config, iterations int) *Cluster {
 	for i := 0; i < n; i++ {
 		i := i
 		rng := rngs[i]
-		c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 			for it := 0; it < iterations; it++ {
 				r.Compute(rng.Jitter(200*sim.Microsecond, 0.3))
 				r.Send((i+1)%n, it, 4096)
@@ -157,7 +157,7 @@ func TestHorizonCap(t *testing.T) {
 		c.NewWorld([]int{0, 1})
 		for i := 0; i < 2; i++ {
 			i := i
-			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.World.Spawn(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; ; it++ {
 					r.Compute(1 * sim.Millisecond)
 					r.Send(1-i, it, 64)
@@ -224,7 +224,7 @@ func TestCollectivesCrossNode(t *testing.T) {
 		c.NewWorld([]int{0, 0, 1, 1})
 		for i := 0; i < 4; i++ {
 			i := i
-			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.World.Spawn(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; it < 10; it++ {
 					r.Compute(sim.Time(100+50*i) * sim.Microsecond)
 					r.Barrier()
@@ -299,7 +299,7 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 		c.NewWorld([]int{0, 0, 1})
 		for i := 0; i < 2; i++ {
 			i := i
-			c.SpawnRank(i, sched.TaskSpec{}, func(r *mpi.Rank) {
+			c.World.Spawn(i, sched.TaskSpec{}, func(r *mpi.Rank) {
 				for it := 0; it < 25; it++ {
 					r.Compute(2 * sim.Millisecond)
 					r.Send(1-i, it, 512)
@@ -307,7 +307,7 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 				}
 			})
 		}
-		c.SpawnRank(2, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(2, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(55 * sim.Millisecond)
 		})
 		end, err := c.Run(0)
@@ -355,13 +355,13 @@ func TestPendingSendKeepsNodeAdvancing(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.NewWorld([]int{0, 1})
-		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(10 * sim.Microsecond)
 			r.Env().DeferCompute(5 * sim.Millisecond)
 			r.Send(1, 0, 64)
 			r.Recv(1, 1)
 		})
-		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Send(0, 1, 64)
 			r.Recv(0, 0)
 		})
@@ -532,11 +532,11 @@ func TestDeadlockedJobCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.NewWorld([]int{0, 1})
-		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(100 * sim.Microsecond)
 			r.Recv(1, 0)
 		})
-		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.World.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
 			r.Compute(200 * sim.Microsecond)
 		})
 		end, err := c.Run(50 * sim.Millisecond)
@@ -555,41 +555,169 @@ func TestDeadlockedJobCaps(t *testing.T) {
 // first blocking call, so rank 0 here sends to rank 1 before rank 1 is
 // spawned. NewWorld has already placed rank 1 on node 1, so the send is
 // priced and routed as inter-node traffic — it must not be delivered as a
-// node-local message on the sender's engine.
+// node-local message on the sender's engine. A 1 MB message pays the
+// interconnect's per-byte cost on top of its latency.
 func TestSendBeforePeerSpawn(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		c, err := New(Config{
-			Nodes: 2, Shards: shards, Seed: 3,
-			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-		})
-		if err != nil {
-			t.Fatal(err)
+	opts := mpi.DefaultOptions()
+	for _, size := range []int64{0, 1 << 20} {
+		for _, shards := range []int{1, 2} {
+			c, err := New(Config{
+				Nodes: 2, Shards: shards, Seed: 3,
+				MPI: opts, NewNode: newTestNode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.NewWorld([]int{0, 1})
+			c.World.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+				r.Send(1, 0, size)
+				r.Recv(1, 1)
+			})
+			var arrived sim.Time
+			var got int64 = -1
+			c.World.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+				got = r.Recv(0, 0)
+				arrived = r.Now()
+				r.Send(0, 1, 0)
+				r.Compute(sim.Millisecond)
+			})
+			_, err = c.Run(0)
+			c.Shutdown()
+			if err != nil {
+				t.Fatalf("size=%d shards=%d: run failed: %v", size, shards, err)
+			}
+			if c.Capped(0) || c.Capped(1) {
+				t.Fatalf("size=%d shards=%d: a node capped at the horizon; the message was lost", size, shards)
+			}
+			if got != size {
+				t.Errorf("size=%d shards=%d: received %d bytes", size, shards, got)
+			}
+			if lat := opts.RemoteLatency + sim.Time(float64(size)*opts.RemoteByteCost); arrived < lat {
+				t.Errorf("size=%d shards=%d: message arrived at %v, before the %v inter-node transfer",
+					size, shards, arrived, lat)
+			}
+			if _, _, remote := c.World.NodeMsgStats(0); remote != 1 {
+				t.Errorf("size=%d shards=%d: node 0 sent %d remote messages, want 1", size, shards, remote)
+			}
 		}
-		c.NewWorld([]int{0, 1})
-		c.SpawnRank(0, sched.TaskSpec{}, func(r *mpi.Rank) {
-			r.Send(1, 0, 0)
-			r.Recv(1, 1)
-		})
-		var arrived sim.Time
-		c.SpawnRank(1, sched.TaskSpec{}, func(r *mpi.Rank) {
-			r.Recv(0, 0)
-			arrived = r.Now()
-			r.Send(0, 1, 0)
-			r.Compute(sim.Millisecond)
-		})
-		_, err = c.Run(0)
-		c.Shutdown()
-		if err != nil {
-			t.Fatalf("shards=%d: run failed: %v", shards, err)
+	}
+}
+
+// TestClusterConstruction: every node gets its own engine and its own
+// kernel from Config.NewNode, which sees its node index.
+func TestClusterConstruction(t *testing.T) {
+	var seen []int
+	c, err := New(Config{
+		Nodes: 3, Shards: 1, Seed: 1, MPI: mpi.DefaultOptions(),
+		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
+			seen = append(seen, node)
+			return newTestNode(node, eng)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if c.Nodes() != 3 || len(c.Engines) != 3 || fmt.Sprint(seen) != "[0 1 2]" {
+		t.Fatalf("cluster shape: %d nodes, %d engines, NewNode calls %v", c.Nodes(), len(c.Engines), seen)
+	}
+	for i, k := range c.Kernels {
+		if k.Engine != c.Engines[i] {
+			t.Fatalf("node %d kernel does not run node %d's engine", i, i)
 		}
-		if c.Capped(0) || c.Capped(1) {
-			t.Fatalf("shards=%d: a node capped at the horizon; the message was lost", shards)
+		for j := 0; j < i; j++ {
+			if c.Engines[j] == c.Engines[i] {
+				t.Fatalf("nodes %d and %d share an engine", j, i)
+			}
 		}
-		if lat := mpi.DefaultOptions().RemoteLatency; arrived < lat {
-			t.Errorf("shards=%d: message arrived at %v, before the %v inter-node latency", shards, arrived, lat)
-		}
-		if _, _, remote := c.World.NodeMsgStats(0); remote != 1 {
-			t.Errorf("shards=%d: node 0 sent %d remote messages, want 1", shards, remote)
+	}
+}
+
+// TestSpawnRankValidation: a rank can only be placed on a node of the
+// cluster; NewWorld rejects any other placement before a rank exists.
+func TestSpawnRankValidation(t *testing.T) {
+	for _, node := range []int{-1, 2, 5} {
+		func() {
+			c, err := New(Config{Nodes: 2, Seed: 1, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown()
+			defer func() {
+				v := recover()
+				if v == nil || !strings.Contains(fmt.Sprint(v), "out of range") {
+					t.Errorf("node %d: NewWorld panic = %v, want an out-of-range placement", node, v)
+				}
+			}()
+			c.NewWorld([]int{0, node})
+		}()
+	}
+}
+
+// TestRanklessNodesFinishAtOnce: a node with no live rank — none placed
+// on it, or a body that returns at spawn — is finished before its engine
+// runs, at instant 0 and not capped, instead of simulating OS noise until
+// the horizon.
+func TestRanklessNodesFinishAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes []int
+		body  func(i int) func(*mpi.Rank)
+		want  sim.Time // upper bound on the run's end
+	}{
+		{
+			name:  "empty node",
+			nodes: []int{0, 0},
+			body: func(i int) func(*mpi.Rank) {
+				return func(r *mpi.Rank) {
+					r.Compute(sim.Millisecond)
+					if i == 0 {
+						r.Send(1, 0, 64)
+					} else {
+						r.Recv(0, 0)
+					}
+				}
+			},
+			want: 10 * sim.Millisecond,
+		},
+		{
+			name:  "body returns at spawn",
+			nodes: []int{0, 1},
+			body: func(i int) func(*mpi.Rank) {
+				return func(r *mpi.Rank) {
+					if i == 0 {
+						r.Compute(sim.Millisecond)
+					}
+				}
+			},
+			want: 10 * sim.Millisecond,
+		},
+	} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
+				c, err := New(Config{
+					Nodes: 2, Shards: shards, Seed: 5,
+					MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Shutdown()
+				c.NewWorld(tc.nodes)
+				for i := range tc.nodes {
+					c.World.Spawn(i, sched.TaskSpec{}, tc.body(i))
+				}
+				end, err := c.Run(10 * sim.Second)
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				if end >= tc.want {
+					t.Errorf("end = %v, want < %v", end, tc.want)
+				}
+				if c.Capped(1) || c.NodeEnd(1) != 0 {
+					t.Errorf("node 1: end=%v capped=%v, want finished at 0", c.NodeEnd(1), c.Capped(1))
+				}
+			})
 		}
 	}
 }

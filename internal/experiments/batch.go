@@ -1,120 +1,13 @@
 package experiments
 
-import (
-	"context"
-	"time"
-
-	"hpcsched/internal/batch"
-)
-
-// BatchOptions controls the parallel execution of a batch of experiment
-// runs. The zero value runs on runtime.NumCPU() workers with no progress
-// reporting — determinism never depends on these knobs.
-//
-// Deprecated: use ExecOptions (the zero value is the same soft execution).
-type BatchOptions struct {
-	// Workers is the pool size; <= 0 means runtime.NumCPU().
-	Workers int
-	// Progress, when non-nil, is called after each run completes with the
-	// number of completed runs and the total (serialized, strictly
-	// increasing).
-	Progress func(done, total int)
-}
-
-// Exec converts to the unified options struct.
-func (o BatchOptions) Exec() ExecOptions {
-	return ExecOptions{Workers: o.Workers, Progress: o.Progress}
-}
-
-// BatchResult carries the results of a batch in submission order:
-// Results[i] is the run of the i-th submitted Config, regardless of
-// which worker finished first.
-type BatchResult struct {
-	Results []Result
-}
-
-// RunBatch executes every config on a worker pool. Each simulation is
-// self-contained and seed-driven, so runs are embarrassingly parallel;
-// the ordering contract makes the parallelism invisible: same configs →
-// identical BatchResult at any worker count.
-//
-// On cancellation it stops submitting new runs, waits for the in-flight
-// ones, and returns ctx.Err(); entries whose run never started are zero
-// Results.
-//
-// Deprecated: use RunScenario with ScenarioSpec.Advanced, or execConfigs
-// via SweepScenarios for heterogeneous grids.
-func RunBatch(ctx context.Context, cfgs []Config, opts BatchOptions) (BatchResult, error) {
-	res, _, _, err := execConfigs(ctx, cfgs, opts.Exec())
-	return BatchResult{Results: res}, err
-}
-
-// HardenedBatchOptions extends BatchOptions with the unattended-fleet
-// protections of batch.MapHardened.
-//
-// Deprecated: use ExecOptions — setting any protection knob selects
-// hardened execution.
-type HardenedBatchOptions struct {
-	BatchOptions
-
-	// Timeout is the per-replica wall-clock deadline (0 disables).
-	Timeout time.Duration
-	// MaxRetries retries a failed replica up to this many times, each
-	// attempt on a fresh seed derived from the original (the original
-	// seed's result is not reproducible after a fault — a panic or wedge —
-	// so the retry explores a sibling stream instead of re-hitting it).
-	MaxRetries int
-	// Backoff is the wall-clock pause before the r-th retry (linear: r×Backoff).
-	Backoff time.Duration
-	// StallTimeout arms each replica's sim-clock liveness watchdog.
-	StallTimeout time.Duration
-}
-
-// Exec converts to the unified options struct. Harden is set: the legacy
-// hardened entry points recover panics even with every knob at zero.
-func (o HardenedBatchOptions) Exec() ExecOptions {
-	return ExecOptions{
-		Workers: o.Workers, Progress: o.Progress,
-		Timeout: o.Timeout, MaxRetries: o.MaxRetries,
-		Backoff: o.Backoff, StallTimeout: o.StallTimeout,
-		Harden: true,
-	}
-}
+import "hpcsched/internal/batch"
 
 // retrySalt separates retry attempts' derived seeds from every other seed
 // stream in the repository (replica seeds, fault streams, storm daemons).
 const retrySalt = 0x2e72_0000_0000_0000
 
-// HardenedBatchResult is a BatchResult that distinguishes finished runs
-// from failed ones instead of requiring every replica to succeed.
-type HardenedBatchResult struct {
-	// Results holds finished runs in submission order; failed entries are
-	// zero Results (check OK).
-	Results []Result
-	// OK[i] reports whether Results[i] finished.
-	OK []bool
-	// Failed lists the replicas that exhausted their attempts, in index
-	// order, each with its failure kind (error/panic/timeout/wedged),
-	// attempt count and final error.
-	Failed []*batch.JobError
-}
-
-// RunBatchHardened is RunBatch for unattended fleets: a panicking replica
-// is recorded (with its stack) instead of crashing the process, a replica
-// that blows its deadline or wedges is aborted and retried on fresh derived
-// seeds, and the batch completes with explicit per-replica failures rather
-// than all-or-nothing. The error return reports batch-level cancellation
-// only.
-//
-// Deprecated: use RunScenario with protection knobs set in
-// ScenarioSpec.Exec.
-func RunBatchHardened(ctx context.Context, cfgs []Config, opts HardenedBatchOptions) (HardenedBatchResult, error) {
-	res, ok, failed, err := execHardened(ctx, cfgs, opts.Exec())
-	return HardenedBatchResult{Results: res, OK: ok, Failed: failed}, err
-}
-
 // ReplicaConfigs builds the (seed × mode) grid for a workload's table in
-// the canonical seed-major order RunTableStats aggregates in: all modes
+// the canonical seed-major order TableStatsOf aggregates in: all modes
 // of seeds[0], then all modes of seeds[1], and so on.
 func ReplicaConfigs(workload string, seeds []uint64) []Config {
 	modes := TableModes(workload)

@@ -14,23 +14,23 @@ func TestRunBatchOrderedAndDeterministic(t *testing.T) {
 	cfgs := ReplicaConfigs("metbench", DefaultSeeds(2))
 	var want []Result
 	for _, w := range []int{1, 4} {
-		br, err := RunBatch(context.Background(), cfgs, BatchOptions{Workers: w})
+		results, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		for i, r := range br.Results {
+		for i, r := range results {
 			if r.Config.Mode != cfgs[i].Mode || r.Config.Seed != cfgs[i].Seed {
 				t.Fatalf("workers=%d: result %d is for %v/seed %d, want %v/seed %d",
 					w, i, r.Config.Mode, r.Config.Seed, cfgs[i].Mode, cfgs[i].Seed)
 			}
 		}
 		if want == nil {
-			want = br.Results
+			want = results
 			continue
 		}
 		for i := range want {
-			if br.Results[i].ExecTime != want[i].ExecTime ||
-				br.Results[i].Imbalance != want[i].Imbalance {
+			if results[i].ExecTime != want[i].ExecTime ||
+				results[i].Imbalance != want[i].Imbalance {
 				t.Fatalf("workers=%d: result %d differs from serial run", w, i)
 			}
 		}
@@ -38,17 +38,21 @@ func TestRunBatchOrderedAndDeterministic(t *testing.T) {
 }
 
 // TestRunTableStatsWorkerInvariant is the determinism acceptance test:
-// a multi-seed RunTableStats run must produce byte-identical formatted
-// aggregates at 1, 4 and 8 workers.
+// a multi-seed table scenario must aggregate to byte-identical formatted
+// stats at 1, 4 and 8 workers.
 func TestRunTableStatsWorkerInvariant(t *testing.T) {
 	seeds := DefaultSeeds(3)
 	var want string
 	var wantStats []ModeStats
 	for _, w := range []int{1, 4, 8} {
-		ts, err := RunTableStatsBatch(context.Background(), "metbench", seeds, BatchOptions{Workers: w})
+		sr, err := RunScenario(context.Background(), ScenarioSpec{
+			Workload: "metbench", Seeds: seeds, Modes: TableModes("metbench"),
+			Exec: ExecOptions{Workers: w},
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		ts := TableStatsOf(sr)
 		out := ts.Format()
 		if want == "" {
 			want, wantStats = out, ts.Stats
@@ -66,12 +70,12 @@ func TestRunTableStatsWorkerInvariant(t *testing.T) {
 func TestRunBatchProgressAndCancellation(t *testing.T) {
 	cfgs := ReplicaConfigs("metbench", DefaultSeeds(1))
 	var calls []int
-	br, err := RunBatch(context.Background(), cfgs, BatchOptions{
+	results, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{
 		Workers:  2,
 		Progress: func(done, total int) { calls = append(calls, done*100+total) },
 	})
-	if err != nil || len(br.Results) != len(cfgs) {
-		t.Fatalf("batch: %d results, err %v", len(br.Results), err)
+	if err != nil || len(results) != len(cfgs) {
+		t.Fatalf("batch: %d results, err %v", len(results), err)
 	}
 	for i, c := range calls {
 		if c != (i+1)*100+len(cfgs) {
@@ -84,11 +88,13 @@ func TestRunBatchProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBatch(ctx, cfgs, BatchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := RunConfigs(ctx, cfgs, ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled batch err = %v", err)
 	}
-	if ts, err := RunTableStatsBatch(ctx, "metbench", DefaultSeeds(2), BatchOptions{}); err == nil || len(ts.Stats) != 0 {
-		t.Fatalf("cancelled stats returned %v, err %v", ts.Stats, err)
+	if _, err := RunScenario(ctx, ScenarioSpec{
+		Workload: "metbench", Seeds: DefaultSeeds(2), Modes: TableModes("metbench"),
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled scenario err = %v", err)
 	}
 }
 

@@ -65,6 +65,14 @@ func (m Mode) UsesHPCClass() bool {
 	return m == ModeUniform || m == ModeAdaptive || m == ModeHybrid || m == ModeHPCOnly
 }
 
+// policy returns the scheduling policy the mode's ranks run under.
+func (m Mode) policy() sched.Policy {
+	if m.UsesHPCClass() {
+		return sched.PolicyHPC
+	}
+	return sched.PolicyNormal
+}
+
 // MachineCPUs is the simulated machine's hardware context count: every
 // experiment runs on the paper's 2-core × 2-SMT POWER5 chip, so fault
 // schedules for an experiment run always compile against 4 contexts.
@@ -204,10 +212,7 @@ func (e *UnknownWorkloadError) Error() string {
 // the one workload switch; single-node and cluster runs both build through
 // it.
 func jobBuilder(cfg Config) (func(workloads.Placement) *workloads.Job, error) {
-	policy := sched.PolicyNormal
-	if cfg.Mode.UsesHPCClass() {
-		policy = sched.PolicyHPC
-	}
+	policy := cfg.Mode.policy()
 	var prios []power5.Priority
 	if cfg.Mode == ModeStatic {
 		prios = staticPrios(cfg.Workload)

@@ -38,28 +38,28 @@ func TestFaultRunsDeterministicAcrossWorkers(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = fastCfg(uint64(100+i), spec)
 	}
-	ref, err := RunBatch(context.Background(), cfgs, BatchOptions{Workers: 1})
+	ref, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range ref.Results {
+	for i, r := range ref {
 		if r.FaultTimeline == "" {
 			t.Fatalf("run %d has no fault timeline despite a non-empty spec", i)
 		}
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		br, err := RunBatch(context.Background(), cfgs, BatchOptions{Workers: workers})
+		res, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range cfgs {
-			if br.Results[i].FaultTimeline != ref.Results[i].FaultTimeline {
+			if res[i].FaultTimeline != ref[i].FaultTimeline {
 				t.Fatalf("workers=%d run %d fault timeline differs:\n%s\n--- vs ---\n%s",
-					workers, i, br.Results[i].FaultTimeline, ref.Results[i].FaultTimeline)
+					workers, i, res[i].FaultTimeline, ref[i].FaultTimeline)
 			}
-			if br.Results[i].ExecTime != ref.Results[i].ExecTime {
+			if res[i].ExecTime != ref[i].ExecTime {
 				t.Fatalf("workers=%d run %d exec time %v != %v",
-					workers, i, br.Results[i].ExecTime, ref.Results[i].ExecTime)
+					workers, i, res[i].ExecTime, ref[i].ExecTime)
 			}
 		}
 	}
@@ -196,17 +196,17 @@ func TestHardenedBatchDegradesExplicitly(t *testing.T) {
 				panic("injected replica panic")
 			})
 	}
-	hb, err := RunBatchHardened(context.Background(), cfgs, HardenedBatchOptions{
+	results, ok, failed, err := RunConfigs(context.Background(), cfgs, ExecOptions{
 		MaxRetries:   1,
 		StallTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.Failed) != 2 {
-		t.Fatalf("failed = %v, want the stalled and the panicking replica", hb.Failed)
+	if len(failed) != 2 {
+		t.Fatalf("failed = %v, want the stalled and the panicking replica", failed)
 	}
-	stall, boom := hb.Failed[0], hb.Failed[1]
+	stall, boom := failed[0], failed[1]
 	if stall.Index != 1 || stall.Kind != batch.KindError || stall.Attempts != 2 {
 		t.Fatalf("stalled replica verdict = %+v, want index 1, error, 2 attempts", stall)
 	}
@@ -220,16 +220,16 @@ func TestHardenedBatchDegradesExplicitly(t *testing.T) {
 	if !strings.Contains(boom.Err.Error(), "injected replica panic") || boom.Stack == "" {
 		t.Fatalf("panic verdict lost its value or stack: %v", boom.Err)
 	}
-	if !hb.OK[0] || hb.OK[1] || hb.OK[2] || !hb.OK[3] {
-		t.Fatalf("OK mask = %v", hb.OK)
+	if !ok[0] || ok[1] || ok[2] || !ok[3] {
+		t.Fatalf("OK mask = %v", ok)
 	}
 	// Graceful degradation: the finished replicas aggregate, the failed
 	// ones count, the CI widens through the reduced N.
-	execs := make([]float64, len(hb.Results))
-	for i, r := range hb.Results {
+	execs := make([]float64, len(results))
+	for i, r := range results {
 		execs[i] = r.ExecTime.Seconds()
 	}
-	d := batch.SummarizeFinished(execs, hb.OK)
+	d := batch.SummarizeFinished(execs, ok)
 	if d.N != 2 || d.Failed != 2 {
 		t.Fatalf("degraded summary N=%d Failed=%d, want 2/2", d.N, d.Failed)
 	}
@@ -252,19 +252,19 @@ func TestHardenedRetryUsesFreshSeeds(t *testing.T) {
 			panic("first-attempt failure")
 		}
 	}
-	hb, err := RunBatchHardened(context.Background(), []Config{cfg},
-		HardenedBatchOptions{MaxRetries: 2})
+	results, _, failed, err := RunConfigs(context.Background(), []Config{cfg},
+		ExecOptions{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.Failed) != 0 {
-		t.Fatalf("failed = %v, want recovery on retry", hb.Failed)
+	if len(failed) != 0 {
+		t.Fatalf("failed = %v, want recovery on retry", failed)
 	}
 	if len(seeds) != 2 {
 		t.Fatalf("ran %d attempts, want 2", len(seeds))
 	}
 	// The retried run must carry a derived seed, not replay the original.
-	if got := hb.Results[0].Config.Seed; got == 42 {
+	if got := results[0].Config.Seed; got == 42 {
 		t.Fatal("retry replayed the original seed instead of deriving a fresh one")
 	}
 }

@@ -66,14 +66,6 @@ func TestExecOptionsHardenedSelection(t *testing.T) {
 	if (ExecOptions{Workers: 8}).Hardened() {
 		t.Error("worker count alone selected the hardened pool")
 	}
-	// The deprecated converters preserve their pools: soft stays soft,
-	// hardened stays hardened even with every knob at zero.
-	if (BatchOptions{Workers: 2}).Exec().Hardened() {
-		t.Error("BatchOptions converted to a hardened pool")
-	}
-	if !(HardenedBatchOptions{}).Exec().Hardened() {
-		t.Error("HardenedBatchOptions converted to a soft pool")
-	}
 }
 
 // RunScenario must reproduce the legacy serial table byte-for-byte: the

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"hpcsched/internal/batch"
-	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
 )
 
@@ -31,33 +29,6 @@ type TableStats struct {
 	Workload string
 	Seeds    []uint64
 	Stats    []ModeStats
-}
-
-// RunTableStats reproduces the workload's table once per seed and
-// aggregates. It is RunTableStatsBatch with a background context and
-// default (NumCPU-worker) parallelism.
-func RunTableStats(workload string, seeds []uint64) TableStats {
-	ts, _ := RunTableStatsBatch(context.Background(), workload, seeds, BatchOptions{})
-	return ts
-}
-
-// RunTableStatsBatch fans the workload's (seed × mode) grid out on the
-// batch layer and aggregates per mode.
-//
-// Deprecated: use RunScenario with Seeds and TableModes, then TableStatsOf.
-func RunTableStatsBatch(ctx context.Context, workload string, seeds []uint64, opts BatchOptions) (TableStats, error) {
-	spec := ScenarioSpec{
-		Workload: workload, Seeds: seeds, Modes: TableModes(workload), Exec: opts.Exec(),
-	}
-	sr := ScenarioResult{Spec: spec}
-	if len(seeds) > 0 {
-		var err error
-		sr, err = RunScenario(ctx, spec)
-		if err != nil {
-			return TableStats{Workload: workload, Seeds: seeds}, err
-		}
-	}
-	return TableStatsOf(sr), nil
 }
 
 // TableStatsOf aggregates a table scenario per mode: sr must come from a
@@ -121,28 +92,6 @@ type DegradedTableStats struct {
 	Stats    []DegradedModeStats
 	// Failures carries each failed replica's verdict, in index order.
 	Failures []*batch.JobError
-}
-
-// RunTableStatsHardened is RunTableStatsBatch on the hardened batch layer,
-// optionally with a fault spec applied to every replica (compiled with each
-// replica's own seed).
-//
-// Deprecated: use RunScenario with Faults set and ExecOptions protection
-// knobs (or Harden), then DegradedTableStatsOf.
-func RunTableStatsHardened(ctx context.Context, workload string, seeds []uint64, spec faults.Spec, opts HardenedBatchOptions) (DegradedTableStats, error) {
-	sspec := ScenarioSpec{
-		Workload: workload, Seeds: seeds, Modes: TableModes(workload),
-		Faults: spec, Exec: opts.Exec(),
-	}
-	sr := ScenarioResult{Spec: sspec}
-	if len(seeds) > 0 {
-		var err error
-		sr, err = RunScenario(ctx, sspec)
-		if err != nil {
-			return DegradedTableStats{Workload: workload, Seeds: seeds}, err
-		}
-	}
-	return DegradedTableStatsOf(sr), nil
 }
 
 // DegradedTableStatsOf aggregates a hardened table scenario per mode. A

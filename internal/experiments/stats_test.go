@@ -7,7 +7,13 @@ import (
 )
 
 func TestRunTableStats(t *testing.T) {
-	ts := RunTableStats("metbench", DefaultSeeds(3))
+	sr, err := RunScenario(context.Background(), ScenarioSpec{
+		Workload: "metbench", Seeds: DefaultSeeds(3), Modes: TableModes("metbench"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := TableStatsOf(sr)
 	if len(ts.Stats) != 4 {
 		t.Fatalf("stats rows = %d", len(ts.Stats))
 	}

@@ -154,18 +154,17 @@ type routeReq struct {
 	fire   func()
 }
 
-// World is one MPI job: a set of ranks over one kernel (the common case),
-// spread over the kernels of a simulated cluster sharing one engine
-// (internal/gang), or spread over per-node engines coupled by a Router
-// (internal/cluster).
+// World is one MPI job: a set of ranks over one kernel (NewWorld, the
+// common case) or spread over per-node engines coupled by a Router
+// (NewRoutedWorld, internal/cluster). Every rank is bound to its kernel
+// and node when the world is created, and Spawn watches each rank's task
+// on that kernel, so a kernel's job is done when it watches no live task.
 type World struct {
-	defaultKernel *sched.Kernel
-	opts          Options
-	ranks         []*Rank
+	opts  Options
+	ranks []*Rank
 
-	// nodes holds the per-node transport state; single-node (and
-	// single-engine gang) worlds have exactly one entry, routed worlds one
-	// per engine (NewRoutedWorld).
+	// nodes holds the per-node transport state; single-node worlds have
+	// exactly one entry, routed worlds one per engine (NewRoutedWorld).
 	nodes  []*nodeState
 	router Router
 
@@ -180,24 +179,24 @@ type World struct {
 	barrierWaiters []*Rank
 }
 
-// NewWorld creates a world of size ranks. Ranks are created unstarted;
-// Spawn launches them.
+// NewWorld creates a world of size ranks, every rank bound to k as node 0.
+// Ranks are created unstarted; Spawn launches them.
 func NewWorld(k *sched.Kernel, size int, opts Options) *World {
 	if size <= 0 {
 		panic("mpi: world size must be positive")
 	}
 	w := &World{
-		defaultKernel:  k,
 		opts:           opts,
 		nodes:          []*nodeState{{id: 0, engine: k.Engine}},
 		barrierWaiters: make([]*Rank, 0, size),
 	}
 	for i := 0; i < size; i++ {
 		r := &Rank{
-			world: w,
-			id:    i,
-			ns:    w.nodes[0],
-			inbox: make([]message, initialInboxCap),
+			world:  w,
+			id:     i,
+			kernel: k,
+			ns:     w.nodes[0],
+			inbox:  make([]message, initialInboxCap),
 		}
 		// Pre-bind the fused-wait checks once per rank: the hot blocking
 		// paths then hand the kernel an existing closure, never allocating.
@@ -428,40 +427,24 @@ func (w *World) Tasks() []*sched.Task {
 	return out
 }
 
-// Spawn launches rank i with the given task spec and body on the world's
-// default kernel. The kernel task is watched, so World users can run the
-// kernel until the job completes.
+// Spawn launches rank i with the given task spec and body on the kernel
+// the rank is bound to, and watches the task there: the kernel's engine
+// stops once every watched task has exited (sched.Kernel.Watch).
 func (w *World) Spawn(i int, spec sched.TaskSpec, body func(*Rank)) *sched.Task {
-	t := w.SpawnAt(i, w.defaultKernel, 0, spec, body)
-	w.defaultKernel.Watch(t)
-	return t
-}
-
-// SpawnAt launches rank i on the given kernel (a cluster node). The task
-// is NOT auto-watched: cluster runners track completion across kernels
-// themselves. When node is a node of a routed world (NewRoutedWorld), k
-// must run that node's engine and the rank binds to its transport state;
-// otherwise — gang-style placement, where node numbers only select remote
-// pricing — k must share node 0's engine.
-func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
-	body func(*Rank)) *sched.Task {
 	r := w.ranks[i]
 	if r.task != nil {
 		panic(fmt.Sprintf("mpi: rank %d spawned twice", i))
 	}
-	// Bind BEFORE AddProcess: run-to-block starts the body eagerly and runs
-	// it to its first blocking call, and any Send it issues on the way must
-	// already see the rank's real node.
-	w.bind(r, k, node)
 	if spec.Name == "" {
 		spec.Name = fmt.Sprintf("P%d", i+1) // the paper numbers processes P1..P4
 	}
-	task := k.AddProcess(spec, func(env *sched.Env) {
+	task := r.kernel.AddProcess(spec, func(env *sched.Env) {
 		r.env = env
 		r.task = env.Task()
 		body(r)
 	})
 	r.task = task
+	r.kernel.Watch(task)
 	return task
 }
 
@@ -469,10 +452,7 @@ func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
 // target's binding at call time, so a rank must be bound before any peer
 // can address it.
 func (w *World) bind(r *Rank, k *sched.Kernel, node int) {
-	ns := w.nodes[0]
-	if node >= 0 && node < len(w.nodes) {
-		ns = w.nodes[node]
-	}
+	ns := w.nodes[node]
 	if k.Engine != ns.engine {
 		panic(fmt.Sprintf("mpi: kernel does not run node %d's engine", node))
 	}

@@ -237,12 +237,12 @@ func runIdleImbalance() uint64 {
 
 func runBatchMetBench() uint64 {
 	cfgs := experiments.ReplicaConfigs("metbench", experiments.SeedsFrom(42, 8))
-	br, err := experiments.RunBatch(context.Background(), cfgs, experiments.BatchOptions{})
+	results, _, _, err := experiments.RunConfigs(context.Background(), cfgs, experiments.ExecOptions{})
 	if err != nil {
 		panic(err)
 	}
 	var events uint64
-	for _, r := range br.Results {
+	for _, r := range results {
 		events += runEvents(r)
 	}
 	return events

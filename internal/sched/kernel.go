@@ -155,9 +155,6 @@ type Kernel struct {
 
 	// onlineCPUs counts CPUs not removed by OfflineCore.
 	onlineCPUs int
-
-	// OnTaskExit, when non-nil, is invoked after a task exits.
-	OnTaskExit func(t *Task)
 }
 
 // NewKernel builds a kernel for the given chip with the standard Linux
@@ -399,6 +396,12 @@ func (k *Kernel) Watch(t *Task) {
 	}
 }
 
+// Watching returns the number of watched tasks that have not exited. The
+// engine is stopped when it drops to zero, so an externally-stepped driver
+// reads a stopped engine with Watching() == 0 as "this kernel's job is
+// done".
+func (k *Kernel) Watching() int { return k.watchLeft }
+
 // RunUntilWatchedExit drives the simulation until every watched task exits
 // or the horizon passes; it returns the finish time.
 func (k *Kernel) RunUntilWatchedExit(horizon sim.Time) sim.Time {
@@ -542,9 +545,6 @@ func (k *Kernel) exit(t *Task) {
 		if k.watchLeft == 0 {
 			k.Engine.Stop()
 		}
-	}
-	if k.OnTaskExit != nil {
-		k.OnTaskExit(t)
 	}
 	k.Resched(t.CPU)
 }

@@ -94,7 +94,7 @@ func BuildMatMulDAG(pl Placement, cfg MatMulDAGConfig) *Job {
 	for i := 0; i < n; i++ {
 		i := i
 		update := cfg.UpdateWork[i%perNode]
-		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := w.Spawn(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			next := make([]mpi.Request, 0, 1)
 			post := func(step int) {

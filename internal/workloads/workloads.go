@@ -27,12 +27,12 @@ type Placement interface {
 	// Nodes returns the number of nodes the job spans.
 	Nodes() int
 	// NewWorld creates the job's MPI world with one rank per entry of
-	// rankNodes, rank i placed on node rankNodes[i] before any rank runs.
+	// rankNodes, rank i bound to node rankNodes[i] before any rank runs.
+	// The builder launches rank i with World.Spawn, which watches it on
+	// its node's kernel.
 	NewWorld(rankNodes []int) *mpi.World
-	// SpawnRank launches rank i of that world on its node.
-	SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task
 	// RankRNGs returns the workload's jitter streams for ranks 0..n-1. It
-	// must be called before the first SpawnRank. shared says the workload's
+	// must be called before the first Spawn. shared says the workload's
 	// ranks may share one stream when they run on one engine: the
 	// single-kernel placement then hands every rank the same
 	// Engine.RNG().Split() stream, and otherwise splits one stream per rank
@@ -49,18 +49,12 @@ func OnKernel(k *sched.Kernel) Placement { return &kernelPlacement{k: k} }
 
 type kernelPlacement struct {
 	k *sched.Kernel
-	w *mpi.World
 }
 
 func (p *kernelPlacement) Nodes() int { return 1 }
 
 func (p *kernelPlacement) NewWorld(rankNodes []int) *mpi.World {
-	p.w = mpi.NewWorld(p.k, len(rankNodes), mpi.DefaultOptions())
-	return p.w
-}
-
-func (p *kernelPlacement) SpawnRank(i int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
-	return p.w.Spawn(i, spec, body)
+	return mpi.NewWorld(p.k, len(rankNodes), mpi.DefaultOptions())
 }
 
 func (p *kernelPlacement) RankRNGs(n int, shared bool) []*sim.RNG {
@@ -182,7 +176,7 @@ func BuildMetBench(pl Placement, cfg MetBenchConfig) *Job {
 		if i%2 == 1 {
 			work = cfg.LargeWork
 		}
-		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := w.Spawn(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			// Initialization: configuration exchange with the master.
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
@@ -197,15 +191,15 @@ func BuildMetBench(pl Placement, cfg MetBenchConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	job.Tasks = append(job.Tasks, spawnMaster(pl, master, cfg.Policy, cfg.Iterations))
+	job.Tasks = append(job.Tasks, spawnMaster(w, master, cfg.Policy, cfg.Iterations))
 	return job
 }
 
 // spawnMaster launches the MetBench master: it releases every worker,
 // then each iteration collects every completion report and answers with
 // the go-ahead.
-func spawnMaster(pl Placement, master int, policy sched.Policy, iterations int) *sched.Task {
-	return pl.SpawnRank(master, sched.TaskSpec{Name: "M", Policy: policy},
+func spawnMaster(w *mpi.World, master int, policy sched.Policy, iterations int) *sched.Task {
+	return w.Spawn(master, sched.TaskSpec{Name: "M", Policy: policy},
 		func(r *mpi.Rank) {
 			for p := 0; p < master; p++ {
 				r.Send(p, 0, 1024)
@@ -264,7 +258,7 @@ func BuildMetBenchVar(pl Placement, cfg MetBenchVarConfig) *Job {
 	job := &Job{Name: "metbenchvar", World: w}
 	for i := 0; i < workers; i++ {
 		i := i
-		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := w.Spawn(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
 				period := it / cfg.K
@@ -283,7 +277,7 @@ func BuildMetBenchVar(pl Placement, cfg MetBenchVarConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	job.Tasks = append(job.Tasks, spawnMaster(pl, master, cfg.Policy, cfg.Iterations))
+	job.Tasks = append(job.Tasks, spawnMaster(w, master, cfg.Policy, cfg.Iterations))
 	return job
 }
 
@@ -383,7 +377,7 @@ func BuildBTMZ(pl Placement, cfg BTMZConfig) *Job {
 			weights = cfg.PhaseWeights[i%len(cfg.PhaseWeights)]
 		}
 		rng := rngs[i]
-		t := pl.SpawnRank(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
+		t := w.Spawn(i, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			// Boundary exchange is pipelined one sweep deep, as in the
 			// real code: the data sent after sweep k is consumed by the
@@ -503,7 +497,7 @@ func BuildSiesta(pl Placement, cfg SiestaConfig) *Job {
 	// Master (P1): computes sub-steps back to back, sending one request
 	// per worker per sub-step and collecting the responses of sub-step
 	// j-2 — deep enough pipelining that the master almost never blocks.
-	t := pl.SpawnRank(0, rankSpec(cfg.Policy, cfg.StaticPrios, 0), func(r *mpi.Rank) {
+	t := w.Spawn(0, rankSpec(cfg.Policy, cfg.StaticPrios, 0), func(r *mpi.Rank) {
 		r.Barrier()
 		const depth = 2
 		for j := 0; j < total; j++ {
@@ -535,7 +529,7 @@ func BuildSiesta(pl Placement, cfg SiestaConfig) *Job {
 	for p := 1; p <= nw; p++ {
 		p := p
 		work := cfg.WorkerWork[(p-1)%perNode]
-		t := pl.SpawnRank(p, rankSpec(cfg.Policy, cfg.StaticPrios, p), func(r *mpi.Rank) {
+		t := w.Spawn(p, rankSpec(cfg.Policy, cfg.StaticPrios, p), func(r *mpi.Rank) {
 			r.Barrier()
 			for j := 0; j < total; j++ {
 				r.Recv(0, j)

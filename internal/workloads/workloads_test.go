@@ -261,6 +261,13 @@ func TestConfigValidation(t *testing.T) {
 			BuildSiesta(p, SiestaConfig{SCFIterations: 1, SubSteps: 1,
 				WorkerWork: []sim.Time{1, 2, 3}, StaticPrios: BTMZStaticPrios()[:3]})
 		},
+		// The gang job's assignment must place every rank on a real node.
+		"gang-assign-length": func(p Placement) {
+			BuildGang(p, GangConfig{Weights: []sim.Time{1, 2}, Assign: []int{0}, Iterations: 1})
+		},
+		"gang-node-range": func(p Placement) {
+			BuildGang(p, GangConfig{Weights: []sim.Time{1, 2}, Assign: []int{0, 2}, Iterations: 1})
+		},
 	})
 }
 
