@@ -923,6 +923,23 @@ func (c *Cluster) storeEOT(i int, bound sim.Time) bool {
 	return bound > old
 }
 
+// jobDone applies the completion rule to node i, whose engine must be
+// quiescent: the node is finished once its kernel watches no live rank and
+// none of its cross-node sends is still waiting for its route step. The
+// last rank's exit stops the engine at once, so a send that rank issued at
+// the same instant is still a pending same-instant event; the instant's
+// remaining events are fired first so that send leaves the node.
+func (c *Cluster) jobDone(i int) bool {
+	if c.Kernels[i].Watching() > 0 {
+		return false
+	}
+	if c.World.NodePendingSends(i) > 0 {
+		eng := c.Engines[i]
+		eng.Run(eng.Now())
+	}
+	return c.World.NodePendingSends(i) == 0
+}
+
 // afterRun classifies why a node's engine came back from Run: still going
 // (false), finished its ranks, or interrupted — the latter aborts the whole
 // cluster. It returns true when the node must not be stepped further.
@@ -931,7 +948,7 @@ func (c *Cluster) afterRun(i int) bool {
 	if !eng.Stopped() {
 		return false
 	}
-	if c.Kernels[i].Watching() == 0 {
+	if c.jobDone(i) {
 		c.finish(i, false)
 		return true
 	}
@@ -1300,10 +1317,10 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 	}
 	c.horizon = horizon
 	// A node with no live rank — none placed there, or every body returned
-	// at spawn — is finished before its engine runs: its OS noise alone
+	// at spawn — is finished before its first window: its OS noise alone
 	// must not carry it to the horizon.
-	for i, k := range c.Kernels {
-		if k.Watching() == 0 {
+	for i := range c.Kernels {
+		if c.jobDone(i) {
 			c.finish(i, false)
 		}
 	}

@@ -721,3 +721,39 @@ func TestRanklessNodesFinishAtOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestLastSendDelivered: a rank whose body ends with a cross-node send is
+// the last to exit on its node, so its exit stops the node's engine in the
+// very instant the send's route step is due. The node must not finish
+// until that send has left: otherwise the message is lost and its receiver
+// blocks until the horizon.
+func TestLastSendDelivered(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, floorPacing := range []bool{false, true} {
+			c, err := New(Config{
+				Nodes: 2, Shards: shards, Seed: 5, FloorPacing: floorPacing,
+				MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := c.NewWorld([]int{0, 1})
+			w.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+				r.Compute(sim.Millisecond)
+				r.Send(1, 0, 0)
+			})
+			w.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+				r.Recv(0, 0)
+			})
+			end, err := c.Run(10 * sim.Second)
+			c.Shutdown()
+			if err != nil {
+				t.Fatalf("shards=%d floor=%v: run failed: %v", shards, floorPacing, err)
+			}
+			if c.Capped(1) || end >= 10*sim.Millisecond {
+				t.Errorf("shards=%d floor=%v: end=%v, node 1 capped=%v; the last send was lost",
+					shards, floorPacing, end, c.Capped(1))
+			}
+		}
+	}
+}

@@ -78,11 +78,11 @@ func clusterRunFingerprint(t *testing.T, cfg Config) string {
 // byte-identical at 1 shard, 4 shards and GOMAXPROCS shards, and matches
 // its committed golden byte-for-byte. Regenerate with UPDATE_GOLDEN=1.
 //
-// The metbench, metbenchvar and siesta goldens pin one node "capped": a
-// rank whose body ends with a cross-node send, on a node whose other ranks
-// have all exited, loses that send, so its peer blocks until the horizon
-// (ROADMAP item 4). Their 10 s horizon keeps the capped node from
-// simulating an hour of OS noise, which takes minutes under -race.
+// In the metbench, metbenchvar and siesta runs the last rank to exit on
+// one node ends with a cross-node send; their goldens pin that the send
+// still leaves (no node "capped"). Their 10 s horizon bounds the cost of a
+// regression: a lost send would otherwise cap its receiver's node only
+// after an hour of simulated OS noise, which takes minutes under -race.
 func TestClusterGoldenTimeline(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
