@@ -10,11 +10,10 @@ import (
 	"hpcsched/internal/trace"
 )
 
-// ExecOptions is the one batch-execution options struct: it collapses the
-// former BatchOptions/HardenedBatchOptions split. The zero value means
-// soft execution — default worker count, no progress reporting, no
-// watchdog, no retries — exactly the old RunBatch semantics (a panicking
-// replica crashes the process, determinism is absolute). Setting any of
+// ExecOptions is the one batch-execution options struct. The zero value
+// means soft execution — default worker count, no progress reporting, no
+// watchdog, no retries (a panicking replica crashes the process,
+// determinism is absolute). Setting any of
 // the protection knobs (Timeout, MaxRetries, StallTimeout) switches the
 // pool to hardened execution with per-replica failure verdicts.
 type ExecOptions struct {
@@ -201,7 +200,7 @@ type ScenarioResult struct {
 // failures per replica instead.
 func RunScenario(ctx context.Context, spec ScenarioSpec) (ScenarioResult, error) {
 	sr := ScenarioResult{Spec: spec, Configs: spec.Configs()}
-	res, ok, failed, err := execConfigs(ctx, sr.Configs, spec.Exec)
+	res, ok, failed, err := RunConfigs(ctx, sr.Configs, spec.Exec)
 	sr.Results, sr.OK, sr.Failed = res, ok, failed
 	return sr, err
 }
@@ -222,7 +221,7 @@ func SweepScenarios(ctx context.Context, specs []ScenarioSpec, opts ExecOptions)
 		offsets[i] = len(flat)
 		flat = append(flat, out[i].Configs...)
 	}
-	res, ok, failed, err := execConfigs(ctx, flat, opts)
+	res, ok, failed, err := RunConfigs(ctx, flat, opts)
 	for i := range out {
 		lo, hi := offsets[i], offsets[i]+len(out[i].Configs)
 		out[i].Results = res[lo:hi:hi]
@@ -241,17 +240,12 @@ func SweepScenarios(ctx context.Context, specs []ScenarioSpec, opts ExecOptions)
 // RunConfigs executes an explicit, possibly heterogeneous config list on
 // the unified pool — the escape hatch for callers whose per-replica
 // configs differ beyond what ScenarioSpec expresses (the selector's
-// per-run probes). Results are in submission order; OK and the failure
-// list follow the hardened contract when opts selects it (soft pools
-// return every OK true and no failures).
+// per-run probes). It is the one execution path every entry point
+// funnels into: soft (batch.Map) when no protection knob is set, hardened
+// (batch.MapHardened) otherwise. Results are in submission order; OK and
+// the failure list follow the hardened contract when opts selects it
+// (soft pools return every OK true and no failures).
 func RunConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
-	return execConfigs(ctx, cfgs, opts)
-}
-
-// execConfigs is the one execution path every entry point funnels into:
-// soft (batch.Map) when no protection knob is set, hardened
-// (batch.MapHardened) otherwise.
-func execConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
 	if !opts.Hardened() {
 		res, err := batch.Map(ctx,
 			batch.Options{Workers: opts.Workers, Progress: opts.Progress}, cfgs,
@@ -267,9 +261,8 @@ func execConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result
 	return execHardened(ctx, cfgs, opts)
 }
 
-// execHardened runs cfgs on the hardened pool regardless of whether any
-// protection knob is set (a zero-knob hardened pool still recovers
-// panics — the legacy RunBatchHardened contract).
+// execHardened runs cfgs on the hardened pool; with every protection knob
+// at zero (Harden alone) it still recovers panics.
 func execHardened(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
 	res, failed, err := batch.MapHardened(ctx,
 		batch.HardenedOptions{
