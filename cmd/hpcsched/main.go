@@ -380,7 +380,7 @@ func runOne(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
-	if r.Cluster != nil {
+	if r.Cluster.Nodes > 1 {
 		fmt.Printf("%s under %s on %d nodes (%s, %d shard(s)): exec time %.2fs\n",
 			*wl, mode, r.Cluster.Nodes, r.Cluster.Topology, r.Cluster.Shards,
 			r.ExecTime.Seconds())

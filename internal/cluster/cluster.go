@@ -84,6 +84,17 @@ import (
 // derived stream in the tree (batch replicas, storms, fault compiles).
 const nodeEngineSalt = 0xc105_7e20_0000_0000
 
+// NodeSeed is node i's share of a run-wide seed: node 0 takes seed itself
+// and node i > 0 takes DeriveSeed(seed, salt+i). Node 0 of any cluster
+// therefore draws exactly the streams of a single-node run, which is what
+// makes a single-node run the 1-node case of the cluster model.
+func NodeSeed(seed, salt uint64, i int) uint64 {
+	if i == 0 {
+		return seed
+	}
+	return batch.DeriveSeed(seed, salt+uint64(i))
+}
+
 // Config describes a sharded cluster simulation.
 type Config struct {
 	// Nodes is the number of simulated nodes (≥ 1).
@@ -97,7 +108,7 @@ type Config struct {
 	// or "star" (leaf↔leaf traffic pays one extra hub hop).
 	Topology string
 	// Seed drives all randomness; node i's engine seeds from
-	// DeriveSeed(Seed, nodeEngineSalt+i).
+	// NodeSeed(Seed, nodeEngineSalt, i), so node 0 runs on Seed itself.
 	Seed uint64
 	// MPI parameterises the transport. RemoteLatency (plus the smallest
 	// topology add-on) is the lookahead floor and must be positive.
@@ -474,7 +485,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.progress.L = &c.progressMu
 	for i := 0; i < cfg.Nodes; i++ {
-		eng := sim.NewEngine(batch.DeriveSeed(cfg.Seed, nodeEngineSalt+uint64(i)))
+		eng := sim.NewEngine(NodeSeed(cfg.Seed, nodeEngineSalt, i))
 		c.Engines = append(c.Engines, eng)
 		c.Kernels = append(c.Kernels, cfg.NewNode(i, eng))
 		c.queues[i] = make([]*pairQueue, cfg.Nodes)
@@ -512,18 +523,21 @@ func (c *Cluster) NewWorld(rankNodes []int) *mpi.World {
 	return c.World
 }
 
-// clusterRankSalt separates the per-rank workload RNG streams.
-const clusterRankSalt = 0x2a8c_0000_0000_0000
-
-// RankRNGs returns n workload jitter streams, rank i's stream derived from
-// DeriveSeed(Seed, clusterRankSalt+i). Node engines run on different
-// shards, so ranks never share a stream here (shared is ignored), and each
-// stream is a function of the rank alone, so any shard interleaving draws
-// the identical workload.
+// RankRNGs returns n workload jitter streams, split in rank order from the
+// engine of each rank's node (Engines[RankNode(i)].RNG().Split()). With
+// shared, all ranks of one node share that node's first split. A stream is
+// only ever drawn on its own node's engine, so any shard interleaving draws
+// the identical workload; at one node this is the rule the single-node
+// goldens were recorded with. Call it after NewWorld.
 func (c *Cluster) RankRNGs(n int, shared bool) []*sim.RNG {
 	rngs := make([]*sim.RNG, n)
+	last := make([]*sim.RNG, len(c.Engines)) // per node: its latest split
 	for i := range rngs {
-		rngs[i] = sim.NewRNG(batch.DeriveSeed(c.cfg.Seed, clusterRankSalt+uint64(i)))
+		node := c.rankNode[i]
+		if !shared || last[node] == nil {
+			last[node] = c.Engines[node].RNG().Split()
+		}
+		rngs[i] = last[node]
 	}
 	return rngs
 }
@@ -1373,7 +1387,7 @@ func (c *Cluster) GVT() sim.Time {
 }
 
 // Settle closes the open busy-accounting stretches of every node, the step
-// a single-node RunUntilWatchedExit performs on return. Call it after Run,
+// Kernel.RunUntilWatchedExit performs on return. Call it after Run,
 // before reading metrics or finishing trace recorders.
 func (c *Cluster) Settle() {
 	for _, k := range c.Kernels {

@@ -411,12 +411,47 @@ func runBTMZ(t *testing.T, shards int, onWindow func(windowStat)) *Cluster {
 	return c
 }
 
+// TestNodeZeroDrawsTheRunStreams: node 0's engine runs on the run seed
+// itself and every rank's jitter is split, in rank order, from its node's
+// engine — shared per node when asked — so a 1-node cluster draws exactly
+// the streams of a lone machine seeded with the run seed.
+func TestNodeZeroDrawsTheRunStreams(t *testing.T) {
+	if NodeSeed(42, nodeEngineSalt, 0) != 42 || NodeSeed(42, nodeEngineSalt, 1) == 42 {
+		t.Fatal("NodeSeed: node 0 must take the seed itself, node 1 a derived one")
+	}
+	for _, shared := range []bool{false, true} {
+		c, err := New(Config{Nodes: 2, Shards: 1, Seed: 42, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.NewWorld([]int{0, 0, 1, 1})
+		got := c.RankRNGs(4, shared)
+		// The reference: fresh nodes on the per-node seeds, split the same way.
+		ref := []*sim.Engine{sim.NewEngine(42), sim.NewEngine(NodeSeed(42, nodeEngineSalt, 1))}
+		for i, e := range ref {
+			newTestNode(i, e)
+		}
+		for i, node := range []int{0, 0, 1, 1} {
+			if shared && i%2 == 1 {
+				if got[i] != got[i-1] {
+					t.Errorf("shared: rank %d does not share its node's stream", i)
+				}
+				continue
+			}
+			if a, b := got[i].Uint64(), ref[node].RNG().Split().Uint64(); a != b {
+				t.Errorf("shared=%v: rank %d stream is not its node engine's split", shared, i)
+			}
+		}
+		c.Shutdown()
+	}
+}
+
 // TestBTMZWindowCount pins the window count of a fixed run exactly. At one
 // shard the visit order — and so every window boundary — is a pure
 // function of the simulation, so any change to the pacing shows up here as
 // a different count, even one that leaves the timeline intact.
 func TestBTMZWindowCount(t *testing.T) {
-	const want = 454
+	const want = 463
 	if got := runBTMZ(t, 1, nil).Windows(); got != want {
 		t.Errorf("Windows() = %d, want %d", got, want)
 	}

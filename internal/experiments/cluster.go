@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hpcsched/internal/batch"
 	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
 	"hpcsched/internal/faults"
@@ -18,12 +17,15 @@ import (
 	"hpcsched/internal/workloads"
 )
 
-// clusterFaultSalt separates the per-node fault-compile seed streams: every
-// node draws its own fault timeline from the run (or pinned) fault seed, so
-// a cluster run's faults are reproducible and node-local.
+// clusterFaultSalt separates the per-node fault-compile seed streams: node
+// 0 compiles from the run (or pinned) fault seed itself and every other
+// node from cluster.NodeSeed(fseed, clusterFaultSalt, node), so a run's
+// faults are reproducible and node-local.
 const clusterFaultSalt = 0xfa17_c105_0000_0000
 
-// ClusterInfo carries the per-node artifacts of a multi-node run.
+// ClusterInfo carries the per-node artifacts of a run. Every run has one:
+// a single-node run is a 1-node cluster, which runs one window on one
+// shard with Floor = sim.MaxTime (no cross-node traffic to pace).
 type ClusterInfo struct {
 	Nodes    int
 	Topology string
@@ -40,10 +42,10 @@ type ClusterInfo struct {
 	Capped   []bool
 	// RankNodes[i] is the node rank i was placed on.
 	RankNodes []int
-	// Recorders are the per-node in-memory trace recorders (nil entries
-	// unless Config.Trace). Cluster runs reject Config.TraceSink with a
-	// *TraceSinkError: a single sink cannot be shared across concurrently
-	// advancing node engines.
+	// Recorders are the per-node trace recorders (nil entries unless
+	// Config.Trace). Runs of more than one node reject Config.TraceSink
+	// with a *TraceSinkError: a single sink cannot be shared across
+	// concurrently advancing node engines.
 	Recorders []*trace.Recorder
 	// Kernels are the per-node kernels, shut down; inspect counters only.
 	Kernels []*sched.Kernel
@@ -73,26 +75,30 @@ func (e *TraceSinkError) Error() string {
 		"use Config.Trace for per-node in-memory recorders", e.Nodes)
 }
 
-// runClusterCtx is RunCtx for Config.Nodes > 1: the same node assembly
-// (newNode) and fault assembly as the single-node path, replicated once per
-// node, with the same job builder tiling the workload across the cluster
-// and the node engines advanced by the conservative PDES of
-// internal/cluster. Determinism carries over: the result is byte-identical
-// at any Config.Shards.
-func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placement) *workloads.Job) (Result, error) {
-	if cfg.TraceSink != nil {
-		return Result{Config: cfg}, &TraceSinkError{Nodes: cfg.Nodes}
+// runJob is the one run path: it assembles max(Config.Nodes, 1) copies of
+// the paper's machine (newNode) on the nodes of an internal/cluster
+// cluster, tiles the job across them, installs per-node faults and
+// watchdogs, and advances the node engines with the conservative PDES.
+// Nothing forks on the node count. Every per-node rule gives node 0 the
+// streams of a lone machine — the run seed for its engine and faults, its
+// ranks' jitter split from its engine — and one node runs one window to
+// the horizon, so the single-node run is the 1-node cluster. The result is
+// byte-identical at any Config.Shards.
+func runJob(ctx context.Context, cfg Config, build func(workloads.Placement) *workloads.Job) (Result, error) {
+	nodes := max(cfg.Nodes, 1)
+	if cfg.TraceSink != nil && nodes > 1 {
+		return Result{Config: cfg}, &TraceSinkError{Nodes: nodes}
 	}
 	topology := cfg.Topology
 	if topology == "" {
 		topology = "flat"
 	}
-	hpcs := make([]*core.HPCClass, cfg.Nodes)
-	recs := make([]*trace.Recorder, cfg.Nodes)
-	wds := make([]*watchdog, cfg.Nodes)
+	hpcs := make([]*core.HPCClass, nodes)
+	recs := make([]*trace.Recorder, nodes)
+	wds := make([]*watchdog, nodes)
 
 	cl, err := cluster.New(cluster.Config{
-		Nodes:       cfg.Nodes,
+		Nodes:       nodes,
 		Shards:      cfg.Shards,
 		Topology:    cfg.Topology,
 		Seed:        cfg.Seed,
@@ -127,17 +133,18 @@ func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placeme
 	}
 
 	// Fault injection is per node: every node compiles its own timeline from
-	// a seed derived off the fault seed and the node index, and installs it
-	// scoped to itself (mpidelay windows drive that node's extra-delay knob,
-	// composing with the topology's pair add-ons and the other nodes).
-	injs := make([]*faults.Injector, cfg.Nodes)
+	// its share of the fault seed (cluster.NodeSeed: node 0 takes the seed
+	// itself) and installs it scoped to itself (mpidelay windows drive that
+	// node's extra-delay knob, composing with the topology's pair add-ons
+	// and the other nodes).
+	injs := make([]*faults.Injector, nodes)
 	if !cfg.Faults.Empty() {
 		fseed := cfg.Seed
 		if cfg.FaultSeed != nil {
 			fseed = *cfg.FaultSeed
 		}
 		for node, k := range cl.Kernels {
-			sc := faults.Compile(cfg.Faults, batch.DeriveSeed(fseed, clusterFaultSalt+uint64(node)), k.NumCPUs())
+			sc := faults.Compile(cfg.Faults, cluster.NodeSeed(fseed, clusterFaultSalt, node), k.NumCPUs())
 			injs[node] = faults.InstallAt(k, job.World, node, sc)
 		}
 	}
@@ -169,13 +176,13 @@ func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placeme
 	end, runErr := cl.Run(horizon)
 
 	info := &ClusterInfo{
-		Nodes:     cfg.Nodes,
+		Nodes:     nodes,
 		Topology:  topology,
 		Shards:    cl.Shards(),
 		Floor:     cl.Floor(),
 		GVT:       cl.GVT(),
-		NodeEnds:  make([]sim.Time, cfg.Nodes),
-		Capped:    make([]bool, cfg.Nodes),
+		NodeEnds:  make([]sim.Time, nodes),
+		Capped:    make([]bool, nodes),
 		RankNodes: make([]int, job.World.Size()),
 		Recorders: recs,
 		Kernels:   cl.Kernels,
@@ -183,7 +190,7 @@ func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placeme
 		Windows:       cl.Windows(),
 		WindowsElided: cl.WindowsElided(),
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < nodes; i++ {
 		info.NodeEnds[i] = cl.NodeEnd(i)
 		info.Capped[i] = cl.Capped(i)
 	}
@@ -235,9 +242,9 @@ func runClusterCtx(ctx context.Context, cfg Config, build func(workloads.Placeme
 }
 
 // clusterFaultTimeline merges the per-node applied-action logs, each line
-// prefixed with its node, in node order. Like the single-node timeline it is
-// a pure function of (spec, seed, machine, topology) — the shard-invariance
-// tests compare it byte-for-byte across shard counts.
+// prefixed with its node ("n0 ", "n1 ", ...), in node order. It is a pure
+// function of (spec, seed, machine, topology) — the determinism tests
+// compare it byte-for-byte across worker and shard counts.
 func clusterFaultTimeline(injs []*faults.Injector) string {
 	var b strings.Builder
 	for node, inj := range injs {

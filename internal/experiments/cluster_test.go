@@ -303,9 +303,47 @@ func TestClusterRejectsTraceSink(t *testing.T) {
 	if se.Nodes != 2 {
 		t.Errorf("TraceSinkError.Nodes = %d, want 2", se.Nodes)
 	}
-	// The single-node path still streams through the sink.
+	// A 1-node run still streams through the sink.
 	cfg.Nodes = 1
 	if _, err := RunCtx(context.Background(), cfg); err != nil {
 		t.Fatalf("single-node run with a sink: %v", err)
+	}
+}
+
+// TestSingleNodeRunIsOneWindow: a single-node run is the 1-node cluster, at
+// Nodes 0 and 1 alike, and it pays no pacing cost — one window to the
+// horizon on one shard, with no lookahead floor because there is no
+// cross-node traffic. Its fault lines carry the node prefix like any
+// cluster run's.
+func TestSingleNodeRunIsOneWindow(t *testing.T) {
+	for _, workload := range []string{"metbench", "metbenchvar", "btmz", "siesta", "matmul"} {
+		t.Run(workload, func(t *testing.T) {
+			var timelines []string
+			for _, nodes := range []int{0, 1} {
+				cfg := clusterCfg(workload, nodes, 0, "", 42)
+				cfg.Faults = faults.MustParse("slow:n=1,factor=0.5,dur=100ms,by=300ms")
+				res, err := RunCtx(context.Background(), cfg)
+				if err != nil {
+					t.Fatalf("Nodes=%d: %v", nodes, err)
+				}
+				ci := res.Cluster
+				if ci == nil {
+					t.Fatalf("Nodes=%d: Result.Cluster is nil", nodes)
+				}
+				if ci.Shards != 1 || ci.Windows != 1 || ci.Floor != sim.MaxTime {
+					t.Errorf("Nodes=%d: shards=%d windows=%d floor=%v, want 1, 1 and MaxTime",
+						nodes, ci.Shards, ci.Windows, ci.Floor)
+				}
+				for _, line := range strings.Split(res.FaultTimeline, "\n") {
+					if !strings.HasPrefix(line, "n0 ") {
+						t.Errorf("Nodes=%d: fault line %q lacks the n0 prefix", nodes, line)
+					}
+				}
+				timelines = append(timelines, ClusterTimeline(res))
+			}
+			if timelines[0] != timelines[1] {
+				t.Errorf("Nodes=0 and Nodes=1 differ:\n%s", firstDiff(timelines[0], timelines[1]))
+			}
+		})
 	}
 }

@@ -84,11 +84,13 @@ type Config struct {
 	Mode     Mode
 	Seed     uint64
 
-	// Nodes, when > 1, scales the workload across a simulated cluster of
-	// that many nodes — each a full copy of the paper's machine with its
-	// own kernel, noise and (per-node-scoped) faults — coupled by the
+	// Nodes is the size of the simulated cluster the workload is tiled
+	// across — each node a full copy of the paper's machine with its own
+	// kernel, noise and (per-node-scoped) faults — coupled by the
 	// inter-node MPI latency model and advanced as a sharded conservative
-	// PDES (internal/cluster). 0 or 1 is the classic single-node run.
+	// PDES (internal/cluster). 0 or 1 is the paper's single-node run: the
+	// 1-node cluster, whose node 0 draws the very streams the run seed
+	// gives one machine.
 	Nodes int
 	// Topology shapes inter-node latencies for cluster runs: "flat"
 	// (default), "ring" or "star".
@@ -117,8 +119,8 @@ type Config struct {
 	// the given sink instead of retaining history in memory: the run can
 	// be traced to a .prv file (trace.PRVSink) or measured without
 	// retention (trace.NullSink). Result.Recorder then has task identities
-	// but no renderable intervals. Multi-node runs reject a sink with a
-	// *TraceSinkError.
+	// but no renderable intervals. A sink is one ordered stream, so runs of
+	// more than one node reject it with a *TraceSinkError.
 	TraceSink trace.Sink
 	// Horizon bounds the run (0 → 1 simulated hour).
 	Horizon sim.Time
@@ -172,11 +174,11 @@ type Result struct {
 	Tasks     []*sched.Task
 	Kernel    *sched.Kernel // shut down; inspect counters only
 	// FaultTimeline is the applied fault-action log, one line per action
-	// (empty without faults). Same seed and spec → byte-identical timeline.
-	// Cluster runs prefix each line with its node ("n0 ", "n1 ", ...).
+	// (empty without faults), each prefixed with its node ("n0 ", "n1 ",
+	// ...). Same seed and spec → byte-identical timeline.
 	FaultTimeline string
-	// Cluster carries the per-node artifacts of a multi-node run
-	// (Config.Nodes > 1); nil for single-node runs.
+	// Cluster carries the per-node artifacts of the run. It is set on every
+	// run that got as far as building its nodes, single-node runs included.
 	Cluster *ClusterInfo
 }
 
@@ -208,9 +210,8 @@ func (e *UnknownWorkloadError) Error() string {
 
 // jobBuilder resolves cfg's workload to the builder of its job: the
 // workload's default config with the mode's policy and static priorities
-// set and the Tweak hook applied, ready to build on any placement. It is
-// the one workload switch; single-node and cluster runs both build through
-// it.
+// set and the Tweak hook applied, ready to build on a cluster of any size.
+// It is the one workload switch.
 func jobBuilder(cfg Config) (func(workloads.Placement) *workloads.Job, error) {
 	policy := cfg.Mode.policy()
 	var prios []power5.Priority
@@ -267,9 +268,9 @@ type node struct {
 
 // newNode assembles one machine on eng: chip, kernel, the mode's HPC
 // class, the trace recorder and OS noise, in that order (the order fixes
-// the engine's RNG draws, which the goldens pin). Cluster nodes run on
-// different shards, so a caller-supplied Config.PerfModel must then be
-// safe for concurrent use.
+// the engine's RNG draws, which the goldens pin). The nodes of a
+// multi-node run advance on different shards, so a caller-supplied
+// Config.PerfModel must then be safe for concurrent use.
 func newNode(cfg Config, eng *sim.Engine) node {
 	pm := cfg.PerfModel
 	if pm == nil {
@@ -322,7 +323,8 @@ func hpcPolicy(m Mode) (core.Heuristic, core.Mechanism) {
 
 // Run executes one experiment. It is RunCtx without cancellation or
 // watchdog: with a background context and no StallTimeout the run cannot
-// abort, so the only error left — an unknown workload — panics.
+// abort, so the only errors left — an unknown workload or a rejected
+// cluster configuration (topology, trace sink, lookahead) — panic.
 func Run(cfg Config) Result {
 	cfg.StallTimeout = 0
 	res, err := RunCtx(context.Background(), cfg)
@@ -333,95 +335,22 @@ func Run(cfg Config) Result {
 }
 
 // RunCtx executes one experiment under a context. An unknown workload is
-// an *UnknownWorkloadError, returned before anything is built.
-// Cancellation propagates into the event pump through the engine's
-// interrupt hook, so a cancelled batch stops mid-replica instead of
-// finishing the simulated hour. When cfg.StallTimeout is set, the same
+// an *UnknownWorkloadError, returned before anything is built. Every run,
+// single-node included, is a cluster run of Config.Nodes nodes (see
+// runJob). Cancellation propagates into the event pump through each
+// engine's interrupt hook, so a cancelled batch stops mid-replica instead
+// of finishing the simulated hour. When cfg.StallTimeout is set, the same
 // hook doubles as the liveness watchdog. An aborted run returns a partial
 // Result plus an *AbortError carrying the reason and a diagnostic dump;
-// the kernel is shut down either way (no leaked process goroutines). A
-// panic out of the model layers shuts the kernel down and re-panics, so
+// the kernels are shut down either way (no leaked process goroutines). A
+// panic out of the model layers shuts the kernels down and re-panics, so
 // batch-level recovery sees a clean process.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	build, err := jobBuilder(cfg)
 	if err != nil {
 		return Result{Config: cfg}, err
 	}
-	if cfg.Nodes > 1 {
-		return runClusterCtx(ctx, cfg, build)
-	}
-	engine := sim.NewEngine(cfg.Seed)
-	n := newNode(cfg, engine)
-	kernel, rec := n.kernel, n.rec
-	defer func() {
-		if v := recover(); v != nil {
-			kernel.Shutdown()
-			panic(v)
-		}
-	}()
-	job := build(workloads.OnKernel(kernel))
-
-	if cfg.Prelude != nil {
-		cfg.Prelude(kernel)
-	}
-
-	// Fault injection: compiled from (spec, seed, machine) into plain data
-	// before anything runs, then installed as ordinary engine events. The
-	// zero-fault spec skips both steps entirely.
-	var inj *faults.Injector
-	if !cfg.Faults.Empty() {
-		fseed := cfg.Seed
-		if cfg.FaultSeed != nil {
-			fseed = *cfg.FaultSeed
-		}
-		sc := faults.Compile(cfg.Faults, fseed, kernel.NumCPUs())
-		inj = faults.InstallAt(kernel, job.World, 0, sc)
-	}
-
-	if cfg.Probe != nil {
-		cfg.Probe(kernel, job)
-	}
-
-	// Cancellation and liveness ride the engine's interrupt poll: nil when
-	// neither is requested, so the plain Run path pays nothing.
-	var wd *watchdog
-	if ctx.Done() != nil || cfg.StallTimeout > 0 {
-		wd = newWatchdog(ctx, kernel, cfg.StallTimeout)
-		engine.SetInterrupt(interruptStride, wd.check)
-	}
-
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = 3600 * sim.Second
-	}
-	end := kernel.RunUntilWatchedExit(horizon)
-	res := Result{
-		Config:   cfg,
-		ExecTime: end,
-		HPC:      n.hpc,
-		World:    job.World,
-		Tasks:    job.Tasks,
-		Kernel:   kernel,
-	}
-	if inj != nil {
-		res.FaultTimeline = inj.FormatTimeline()
-	}
-	if wd != nil && wd.reason != "" {
-		// Aborted: capture the machine state before teardown destroys it.
-		aerr := &AbortError{Reason: wd.reason, Cause: wd.cause, Dump: DiagnosticDump(kernel)}
-		writeDiagDump(cfg.Workload, aerr)
-		kernel.Shutdown()
-		return res, aerr
-	}
-	if rec != nil {
-		rec.Finish(end)
-		rec.SortByName()
-	}
-	res.Summaries = metrics.Summarize(job.Tasks, end)
-	res.Imbalance = metrics.Imbalance(res.Summaries)
-	res.Recorder = rec
-	kernel.Shutdown()
-	return res, nil
+	return runJob(ctx, cfg, build)
 }
 
 // TableModes returns the mode rows the paper reports for a workload.

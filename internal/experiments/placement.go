@@ -40,7 +40,7 @@ func ComparePlacers(cfg Config, job workloads.GangConfig, placers ...cluster.Pla
 	out := make([]PlacerResult, 0, len(placers))
 	for _, p := range placers {
 		job.Assign = p.Assign(weights, cfg.Nodes, MachineCPUs)
-		res, err := runClusterCtx(context.Background(), cfg, func(pl workloads.Placement) *workloads.Job {
+		res, err := runJob(context.Background(), cfg, func(pl workloads.Placement) *workloads.Job {
 			return workloads.BuildGang(pl, job)
 		})
 		if err != nil {

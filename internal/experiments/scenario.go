@@ -72,10 +72,10 @@ type ScenarioSpec struct {
 	Seeds    []uint64
 	Replicas int
 
-	// Nodes/Topology/Shards select a cluster run (see Config): Nodes > 1
-	// scales the workload across that many simulated nodes, Topology shapes
-	// the interconnect, Shards sets the PDES parallelism (results are
-	// shard-invariant).
+	// Nodes/Topology/Shards size the cluster each run uses (see Config):
+	// Nodes scales the workload across that many simulated nodes (0 or 1
+	// is the paper's single node), Topology shapes the interconnect, Shards
+	// sets the PDES parallelism (results are shard-invariant).
 	Nodes    int
 	Topology string
 	Shards   int

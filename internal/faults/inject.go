@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"strings"
 
 	"hpcsched/internal/batch"
 	"hpcsched/internal/mpi"
@@ -74,9 +73,6 @@ func (inj *Injector) Timeline() []string {
 	copy(out, inj.log)
 	return out
 }
-
-// FormatTimeline renders the applied-action log as one block.
-func (inj *Injector) FormatTimeline() string { return strings.Join(inj.log, "\n") }
 
 func (inj *Injector) logf(format string, args ...any) {
 	inj.log = append(inj.log, fmt.Sprintf(format, args...))

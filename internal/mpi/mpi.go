@@ -815,13 +815,14 @@ func (r *Rank) waitallCheckFn() (done bool, reply any) {
 // the former flush-then-arrive sequence used — so the entire barrier costs
 // each rank one rendezvous.
 //
-// Routed (sharded-cluster) worlds take a message fan-in/fan-out instead:
-// the shared-counter release wakes tasks on other kernels directly, which
-// is only sound when all kernels share one engine. The message barrier
-// rides the ordinary routed Send/Recv paths, so it is correct — and
-// deterministic — across shard boundaries.
+// Worlds spanning more than one node take a message fan-in/fan-out
+// instead: the shared-counter release wakes tasks on other kernels
+// directly, which is only sound when all ranks share one engine. The
+// message barrier rides the ordinary routed Send/Recv paths, so it is
+// correct — and deterministic — across shard boundaries. A routed world on
+// one node (a single-node run) keeps the shared counter.
 func (r *Rank) Barrier() {
-	if r.world.router != nil {
+	if len(r.world.nodes) > 1 {
 		r.clusterBarrier()
 		return
 	}

@@ -5,7 +5,6 @@ import (
 
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/noise"
-	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
@@ -123,11 +122,7 @@ func clusterScenario(s Scenario, cfg experiments.Config) Scenario {
 			panic(err)
 		}
 		last = r.Cluster
-		var events uint64
-		for _, k := range r.Cluster.Kernels {
-			events += kernelEvents(k)
-		}
-		return events
+		return runEvents(r)
 	}
 	s.Counters = func() map[string]int64 {
 		if last == nil {
@@ -152,17 +147,21 @@ func QuickSuite() []Scenario {
 	return out
 }
 
-// runEvents is the scenario event count: fired engine events plus the tick
-// instants the tickless-idle machinery elided (their effects are computed
-// in closed form instead of firing — see sched.Kernel.TicksElided). The
-// sum is invariant under the tickless optimisation for a fixed workload,
-// which keeps events/sec comparable across the whole BENCH trajectory.
+// runEvents is the scenario event count, summed over every node of the
+// run: fired engine events plus the tick instants the tickless-idle
+// machinery elided (their effects are computed in closed form instead of
+// firing — see sched.Kernel.TicksElided). The sum is invariant under the
+// tickless optimisation for a fixed workload, which keeps events/sec
+// comparable across the whole BENCH trajectory.
 func runEvents(r experiments.Result) uint64 {
-	return kernelEvents(r.Kernel)
+	var events uint64
+	for _, k := range r.Cluster.Kernels {
+		events += kernelEvents(k)
+	}
+	return events
 }
 
-// kernelEvents is the single definition of that normalisation for
-// scenarios that drive a kernel directly.
+// kernelEvents is runEvents for one kernel.
 func kernelEvents(k *sched.Kernel) uint64 {
 	return k.Engine.Stats().Fired + uint64(k.TicksElided())
 }
@@ -211,28 +210,27 @@ func runBTMZTraceNull() uint64 {
 // exists so that regression — re-firing provably no-op ticks — is caught
 // by the quick-suite perf gate.
 func runIdleImbalance() uint64 {
-	e := sim.NewEngine(42)
-	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
-	k := sched.NewKernel(e, chip, sched.Options{})
-	noise.Install(k, noise.DefaultConfig())
-	job := workloads.BuildBTMZ(workloads.OnKernel(k), workloads.BTMZConfig{
-		Iterations: 24,
-		ZoneWork: []sim.Time{
-			14 * sim.Millisecond,
-			22 * sim.Millisecond,
-			30 * sim.Millisecond,
-			420 * sim.Millisecond,
+	r := experiments.Run(experiments.Config{
+		Workload: "btmz", Mode: experiments.ModeBaseline, Seed: 42,
+		TweakBTMZ: func(c *workloads.BTMZConfig) {
+			*c = workloads.BTMZConfig{
+				Iterations: 24,
+				ZoneWork: []sim.Time{
+					14 * sim.Millisecond,
+					22 * sim.Millisecond,
+					30 * sim.Millisecond,
+					420 * sim.Millisecond,
+				},
+				BoundaryMsg: 200 << 10,
+				JitterFrac:  0.05,
+				Policy:      sched.PolicyNormal,
+			}
 		},
-		BoundaryMsg: 200 << 10,
-		JitterFrac:  0.05,
-		Policy:      sched.PolicyNormal,
 	})
-	k.RunUntilWatchedExit(sim.MaxTime)
-	k.Shutdown()
-	if len(job.Tasks) != 4 {
+	if len(r.Tasks) != 4 {
 		panic("perf: idle-imbalance scenario lost its ranks")
 	}
-	return kernelEvents(k)
+	return runEvents(r)
 }
 
 func runBatchMetBench() uint64 {

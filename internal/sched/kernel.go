@@ -417,9 +417,10 @@ func (k *Kernel) RunUntilWatchedExit(horizon sim.Time) sim.Time {
 
 // Settle closes every still-open busy-parked accounting stretch, the step
 // RunUntilWatchedExit performs after its Run returns. Externally-stepped
-// drivers (the sharded cluster runner advances each node's engine in
-// lookahead windows itself) call it once their stepping is finished, before
-// reading metrics or finishing trace recorders.
+// drivers call it once their stepping is finished, before reading metrics
+// or finishing trace recorders: the cluster runner, which advances each
+// node's engine in lookahead windows itself, is one, and every experiment
+// run — a single node included — goes through it.
 func (k *Kernel) Settle() { k.settleBusyStretches() }
 
 // Shutdown releases the goroutines of every process that has not exited

@@ -5,11 +5,11 @@
 // Tables III-VI (see EXPERIMENTS.md for the derivation).
 //
 // Every builder writes its rank bodies once and runs them on a Placement:
-// one kernel (OnKernel, the paper's machine) or the nodes of a sharded
-// cluster (*cluster.Cluster). A config describes one node's worth of ranks;
-// on N nodes the builder tiles that pattern N times — rank i takes the
-// per-node zone, worker cost and static priority of its position in the
-// pattern, and runs on node i / perNode (round-robin, i % N, for the
+// the nodes of a sharded cluster (*cluster.Cluster), one node being the
+// paper's machine. A config describes one node's worth of ranks; on N
+// nodes the builder tiles that pattern N times — rank i takes the per-node
+// zone, worker cost and static priority of its position in the pattern,
+// and runs on node i / perNode (round-robin, i % N, for the
 // matrix-multiply DAG). On one node this is exactly the single-node job.
 package workloads
 
@@ -32,41 +32,13 @@ type Placement interface {
 	// its node's kernel.
 	NewWorld(rankNodes []int) *mpi.World
 	// RankRNGs returns the workload's jitter streams for ranks 0..n-1. It
-	// must be called before the first Spawn. shared says the workload's
-	// ranks may share one stream when they run on one engine: the
-	// single-kernel placement then hands every rank the same
-	// Engine.RNG().Split() stream, and otherwise splits one stream per rank
-	// in rank order. That bit exists only to keep the single-node goldens
-	// byte-identical (MetBench and BT-MZ have always drawn from one shared
-	// stream, SIESTA and the DAG from per-rank ones). A cluster ignores it:
-	// its nodes run on different shards, so every rank gets its own stream.
+	// must be called after NewWorld and before the first Spawn. Each
+	// rank's stream is split, in rank order, from its node's engine RNG;
+	// shared says the ranks of one node share that node's first split
+	// (MetBench and BT-MZ draw from one shared stream per node, SIESTA and
+	// the DAG from per-rank ones — the rule the single-node goldens were
+	// recorded with).
 	RankRNGs(n int, shared bool) []*sim.RNG
-}
-
-// OnKernel places a whole job on one kernel: the classic single-node run.
-// Ranks are watched, so k.RunUntilWatchedExit runs until the job is done.
-func OnKernel(k *sched.Kernel) Placement { return &kernelPlacement{k: k} }
-
-type kernelPlacement struct {
-	k *sched.Kernel
-}
-
-func (p *kernelPlacement) Nodes() int { return 1 }
-
-func (p *kernelPlacement) NewWorld(rankNodes []int) *mpi.World {
-	return mpi.NewWorld(p.k, len(rankNodes), mpi.DefaultOptions())
-}
-
-func (p *kernelPlacement) RankRNGs(n int, shared bool) []*sim.RNG {
-	rngs := make([]*sim.RNG, n)
-	for i := range rngs {
-		if shared && i > 0 {
-			rngs[i] = rngs[0]
-		} else {
-			rngs[i] = p.k.Engine.RNG().Split()
-		}
-	}
-	return rngs
 }
 
 // Job is a constructed workload: the MPI world plus its rank tasks, rank i

@@ -11,23 +11,55 @@ import (
 	"hpcsched/internal/sim"
 )
 
-func newKernel(seed uint64) *sched.Kernel {
-	e := sim.NewEngine(seed)
-	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
-	return sched.NewKernel(e, chip, sched.DefaultOptions())
+// newCluster returns an unsharded cluster of the given size on POWER5 chips
+// of the given core count, each node's kernel passed through install.
+func newCluster(t *testing.T, nodes int, seed uint64, cores int, install func(*sched.Kernel)) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{
+		Nodes: nodes, Shards: 1, Seed: seed, MPI: mpi.DefaultOptions(),
+		NewNode: func(_ int, e *sim.Engine) *sched.Kernel {
+			k := sched.NewKernel(e, power5.NewChip(cores, power5.NewCalibratedPerfModel()), sched.DefaultOptions())
+			if install != nil {
+				install(k)
+			}
+			return k
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// newMachine is the paper's machine: a 1-node cluster on a 2-core chip,
+// the placement every single-node run builds on.
+func newMachine(t *testing.T, seed uint64) *cluster.Cluster {
+	return newCluster(t, 1, seed, 2, nil)
+}
+
+// runToExit runs c until every rank has exited or horizon passes and
+// returns the end instant.
+func runToExit(t *testing.T, c *cluster.Cluster, horizon sim.Time) sim.Time {
+	t.Helper()
+	end, err := c.Run(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Settle()
+	return end
 }
 
 func TestMetBenchStructure(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMetBench()
 	cfg.Iterations = 3
 	cfg.SmallWork = 10 * sim.Millisecond
 	cfg.LargeWork = 40 * sim.Millisecond
-	job := BuildMetBench(OnKernel(k), cfg)
+	job := BuildMetBench(c, cfg)
 	if len(job.Tasks) != 5 {
 		t.Fatalf("tasks = %d, want 4 workers + master", len(job.Tasks))
 	}
-	end := k.RunUntilWatchedExit(10 * sim.Second)
+	end := runToExit(t, c, 10*sim.Second)
 	if end >= 10*sim.Second {
 		t.Fatal("MetBench deadlocked")
 	}
@@ -46,17 +78,17 @@ func TestMetBenchStructure(t *testing.T) {
 	if u(4) > 0.02 {
 		t.Errorf("master utilization = %v, want ≈0", u(4))
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestMetBenchPlacementInterleaved(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMetBench()
 	cfg.Iterations = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBench(OnKernel(k), cfg)
-	k.RunUntilWatchedExit(10 * sim.Second)
+	job := BuildMetBench(c, cfg)
+	runToExit(t, c, 10*sim.Second)
 	// Small+large per core: P1/P2 on core 0, P3/P4 on core 1.
 	if job.Tasks[0].CPU/2 != job.Tasks[1].CPU/2 {
 		t.Errorf("P1 (cpu %d) and P2 (cpu %d) not on the same core",
@@ -66,35 +98,35 @@ func TestMetBenchPlacementInterleaved(t *testing.T) {
 		t.Errorf("P3 (cpu %d) and P4 (cpu %d) not on the same core",
 			job.Tasks[2].CPU, job.Tasks[3].CPU)
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestMetBenchStaticPriosApplied(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMetBench()
 	cfg.Iterations = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
 	cfg.StaticPrios = MetBenchStaticPrios()
-	job := BuildMetBench(OnKernel(k), cfg)
-	k.RunUntilWatchedExit(10 * sim.Second)
+	job := BuildMetBench(c, cfg)
+	runToExit(t, c, 10*sim.Second)
 	for i, want := range []power5.Priority{4, 6, 4, 6} {
 		if job.Tasks[i].HWPrio != want {
 			t.Errorf("P%d priority = %v, want %v", i+1, job.Tasks[i].HWPrio, want)
 		}
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestMetBenchVarReversesRoles(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMetBenchVar()
 	cfg.Iterations = 4
 	cfg.K = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBenchVar(OnKernel(k), cfg)
-	end := k.RunUntilWatchedExit(10 * sim.Second)
+	job := BuildMetBenchVar(c, cfg)
+	end := runToExit(t, c, 10*sim.Second)
 	if end >= 10*sim.Second {
 		t.Fatal("MetBenchVar deadlocked")
 	}
@@ -110,21 +142,21 @@ func TestMetBenchVarReversesRoles(t *testing.T) {
 			t.Errorf("utils should be near-symmetric after reversal: %v", u)
 		}
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestBTMZStructure(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultBTMZ()
 	cfg.Iterations = 3
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(OnKernel(k), cfg)
+	job := BuildBTMZ(c, cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
-	end := k.RunUntilWatchedExit(10 * sim.Second)
+	end := runToExit(t, c, 10*sim.Second)
 	if end >= 10*sim.Second {
 		t.Fatal("BT-MZ deadlocked")
 	}
@@ -146,36 +178,36 @@ func TestBTMZStructure(t *testing.T) {
 		t.Errorf("P1 (cpu %d) and P4 (cpu %d) must share a core",
 			job.Tasks[0].CPU, job.Tasks[3].CPU)
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestBTMZHeaviestRankSleepsEachIteration(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultBTMZ()
 	cfg.Iterations = 5
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(OnKernel(k), cfg)
-	k.RunUntilWatchedExit(10 * sim.Second)
+	job := BuildBTMZ(c, cfg)
+	runToExit(t, c, 10*sim.Second)
 	// The residual reduction gives even P4 a wait phase per iteration —
 	// the detector's trigger.
 	if job.Tasks[3].WakeupCount < int64(cfg.Iterations) {
 		t.Errorf("P4 woke %d times, want ≥%d", job.Tasks[3].WakeupCount, cfg.Iterations)
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestSiestaStructure(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultSiesta()
 	cfg.SCFIterations = 2
 	cfg.SubSteps = 5
-	job := BuildSiesta(OnKernel(k), cfg)
+	job := BuildSiesta(c, cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
-	end := k.RunUntilWatchedExit(20 * sim.Second)
+	end := runToExit(t, c, 20*sim.Second)
 	if end >= 20*sim.Second {
 		t.Fatal("SIESTA deadlocked")
 	}
@@ -194,26 +226,15 @@ func TestSiestaStructure(t *testing.T) {
 		t.Errorf("master wakes (%d) not rare vs worker (%d)",
 			job.Tasks[0].WakeupCount, job.Tasks[1].WakeupCount)
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
-// placements returns fresh single-kernel and 2-node cluster placements, so
-// every config check runs through both.
+// placements returns fresh 1-node and 2-node cluster placements, so every
+// config check runs through both.
 func placements(t *testing.T) map[string]func() Placement {
 	return map[string]func() Placement{
-		"kernel": func() Placement { return OnKernel(newKernel(1)) },
-		"cluster": func() Placement {
-			c, err := cluster.New(cluster.Config{
-				Nodes: 2, Shards: 1, Seed: 1, MPI: mpi.DefaultOptions(),
-				NewNode: func(_ int, e *sim.Engine) *sched.Kernel {
-					return sched.NewKernel(e, power5.NewChip(2, power5.NewCalibratedPerfModel()), sched.DefaultOptions())
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
+		"1-node": func() Placement { return newMachine(t, 1) },
+		"2-node": func() Placement { return newCluster(t, 2, 1, 2, nil) },
 	}
 }
 
@@ -287,20 +308,19 @@ func TestNamesAndDescribe(t *testing.T) {
 // (8-CPU) chip with 8 workers under the HPC class: the balancing story
 // generalises beyond the paper's machine.
 func TestMetBenchScalesToEightWorkers(t *testing.T) {
-	e := sim.NewEngine(11)
-	chip := power5.NewChip(4, power5.NewCalibratedPerfModel())
-	k := sched.NewKernel(e, chip, sched.DefaultOptions())
-	if _, err := core.Install(k, core.Config{Heuristic: core.UniformHeuristic{}}); err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, 1, 11, 4, func(k *sched.Kernel) {
+		if _, err := core.Install(k, core.Config{Heuristic: core.UniformHeuristic{}}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	cfg := DefaultMetBench()
 	cfg.Workers = 8
 	cfg.Iterations = 6
 	cfg.SmallWork = 40 * sim.Millisecond
 	cfg.LargeWork = 230 * sim.Millisecond
 	cfg.Policy = sched.PolicyHPC
-	job := BuildMetBench(OnKernel(k), cfg)
-	end := k.RunUntilWatchedExit(60 * sim.Second)
+	job := BuildMetBench(c, cfg)
+	end := runToExit(t, c, 60*sim.Second)
 	if end >= 60*sim.Second {
 		t.Fatal("8-worker MetBench deadlocked")
 	}
@@ -313,20 +333,20 @@ func TestMetBenchScalesToEightWorkers(t *testing.T) {
 	if boosted < 3 {
 		t.Fatalf("only %d of 4 large workers boosted to 6", boosted)
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestJitterChangesTimingNotStructure(t *testing.T) {
 	run := func(j float64) sim.Time {
-		k := newKernel(5)
+		c := newMachine(t, 5)
 		cfg := DefaultMetBench()
 		cfg.Iterations = 3
 		cfg.SmallWork = 5 * sim.Millisecond
 		cfg.LargeWork = 20 * sim.Millisecond
 		cfg.JitterFrac = j
-		BuildMetBench(OnKernel(k), cfg)
-		end := k.RunUntilWatchedExit(10 * sim.Second)
-		k.Shutdown()
+		BuildMetBench(c, cfg)
+		end := runToExit(t, c, 10*sim.Second)
+		c.Shutdown()
 		return end
 	}
 	plain, jittered := run(0), run(0.3)
@@ -339,14 +359,14 @@ func TestJitterChangesTimingNotStructure(t *testing.T) {
 }
 
 func TestMatMulDAGStructure(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 12
-	job := BuildMatMulDAG(OnKernel(k), cfg)
+	job := BuildMatMulDAG(c, cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d, want one per UpdateWork entry", len(job.Tasks))
 	}
-	end := k.RunUntilWatchedExit(60 * sim.Second)
+	end := runToExit(t, c, 60*sim.Second)
 	if end >= 60*sim.Second {
 		t.Fatal("MatMulDAG deadlocked")
 	}
@@ -366,7 +386,7 @@ func TestMatMulDAGStructure(t *testing.T) {
 			t.Errorf("rank %d never blocked on a panel", i)
 		}
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
 
 func TestMatMulDAGValidation(t *testing.T) {
@@ -381,16 +401,16 @@ func TestMatMulDAGValidation(t *testing.T) {
 }
 
 func TestMatMulDAGStaticPriosApplied(t *testing.T) {
-	k := newKernel(1)
+	c := newMachine(t, 1)
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 4
 	cfg.StaticPrios = MatMulDAGStaticPrios()
-	job := BuildMatMulDAG(OnKernel(k), cfg)
-	k.RunUntilWatchedExit(60 * sim.Second)
+	job := BuildMatMulDAG(c, cfg)
+	runToExit(t, c, 60*sim.Second)
 	for i, want := range MatMulDAGStaticPrios() {
 		if job.Tasks[i].HWPrio != want {
 			t.Errorf("rank %d priority = %v, want %v", i, job.Tasks[i].HWPrio, want)
 		}
 	}
-	k.Shutdown()
+	c.Shutdown()
 }
