@@ -428,3 +428,35 @@ func BenchmarkGangScheduling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClusterBTMZ times a 20-iteration BT-MZ job (Uniform, flat
+// topology) tiled over 4, 16 and 64 nodes — the executor-cost curve of the
+// cluster level. It reports the windows the node calendar ran and the
+// wall-clock cost per event across all nodes (fired plus elided ticks, the
+// cmd/bench measure):
+//
+//	go test -run '^$' -bench ClusterBTMZ -benchmem
+func BenchmarkClusterBTMZ(b *testing.B) {
+	for _, nodes := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("nodes%d", nodes), func(b *testing.B) {
+			cfg := experiments.Config{
+				Workload: "btmz", Mode: experiments.ModeUniform, Seed: 42, Nodes: nodes,
+				TweakBTMZ: func(c *workloads.BTMZConfig) { c.Iterations = 20 },
+			}
+			var events uint64
+			var last experiments.Result
+			for i := 0; i < b.N; i++ {
+				r, err := experiments.RunCtx(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, k := range r.Cluster.Kernels {
+					events += k.Engine.Stats().Fired + uint64(k.TicksElided())
+				}
+				last = r
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(last.Cluster.Windows), "windows")
+		})
+	}
+}

@@ -10,7 +10,7 @@
 //	    [-faults SPEC] [-replica-timeout D] [-max-retries N] [-stall-timeout D]
 //	hpcsched fig3|fig4|fig5|fig6 [-seed N] [-width N]
 //	hpcsched run -workload metbench -mode uniform [-seed N] [-trace] [-faults SPEC]
-//	    [-nodes N] [-topology flat|ring|star] [-shards N]
+//	    [-nodes N] [-topology flat|ring|star]
 //	hpcsched list                   # available workloads
 package main
 
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"hpcsched/internal/calibrate"
-	"hpcsched/internal/cluster"
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
@@ -358,7 +357,6 @@ func runOne(args []string) {
 	width := fs.Int("width", 100, "timeline columns")
 	nodes := fs.Int("nodes", 1, "simulated cluster nodes (>1 scales the workload across a multi-node PDES run)")
 	topology := fs.String("topology", "flat", "inter-node latency shape: flat|ring|star")
-	shards := fs.Int("shards", 0, "PDES parallelism for -nodes > 1 (0 = GOMAXPROCS; results are shard-invariant)")
 	var fv faults.FlagValue
 	fs.Var(&fv, "faults", `fault-injection spec, e.g. "slow:n=2,factor=0.5;loss" (empty = none)`)
 	parseFlags(fs, args)
@@ -367,23 +365,18 @@ func runOne(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
-	if err := cluster.ValidateShards(*shards, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(2)
-	}
 	r, err := experiments.RunCtx(context.Background(), experiments.Config{
 		Workload: *wl, Mode: mode, Seed: *seed, Trace: *doTrace,
 		Faults: fv.Spec,
-		Nodes:  *nodes, Topology: *topology, Shards: *shards,
+		Nodes:  *nodes, Topology: *topology,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
 	if r.Cluster.Nodes > 1 {
-		fmt.Printf("%s under %s on %d nodes (%s, %d shard(s)): exec time %.2fs\n",
-			*wl, mode, r.Cluster.Nodes, r.Cluster.Topology, r.Cluster.Shards,
-			r.ExecTime.Seconds())
+		fmt.Printf("%s under %s on %d nodes (%s): exec time %.2fs\n",
+			*wl, mode, r.Cluster.Nodes, r.Cluster.Topology, r.ExecTime.Seconds())
 		fmt.Print(experiments.ClusterTimeline(r))
 		if *doTrace && r.Recorder != nil {
 			fmt.Print(r.Recorder.Render(trace.RenderOptions{Width: *width, Prios: mode.UsesHPCClass()}))

@@ -40,7 +40,6 @@ import (
 	"os"
 
 	"hpcsched/internal/batch"
-	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/faults"
@@ -92,16 +91,10 @@ func main() {
 	quick := flag.Bool("quick", false, "-what select: shrink workloads to CI smoke size")
 	nodes := flag.Int("nodes", 1, "simulated cluster nodes per run (>1 sweeps the multi-node PDES configuration)")
 	topology := flag.String("topology", "flat", "inter-node latency shape for -nodes > 1: flat|ring|star")
-	shards := flag.Int("shards", 0, "PDES parallelism per run for -nodes > 1 (0 = GOMAXPROCS; results are shard-invariant)")
 	replicaTimeout := flag.Duration("replica-timeout", 0, "per-replica wall-clock deadline (0 = none)")
 	maxRetries := flag.Int("max-retries", 0, "retries per failed replica, each on a fresh derived seed")
 	stallTimeout := flag.Duration("stall-timeout", 0, "per-replica sim-clock liveness watchdog (0 = off)")
 	flag.Parse()
-
-	if err := cluster.ValidateShards(*shards, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	exec := experiments.ExecOptions{
 		Workers: *workers,
@@ -130,7 +123,6 @@ func main() {
 		// improvements compare multi-node runs against multi-node runs.
 		c.Nodes = *nodes
 		c.Topology = *topology
-		c.Shards = *shards
 	})
 	if points == nil {
 		fmt.Fprintf(os.Stderr, "unknown sweep %q\n", *what)

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"hpcsched/internal/mpi"
 	"hpcsched/internal/power5"
@@ -62,10 +60,10 @@ func fingerprint(c *Cluster, end sim.Time) string {
 	return b.String()
 }
 
-func runRing(t *testing.T, nodes, shards int, topology string, seed uint64) string {
+func runRing(t *testing.T, nodes int, topology string, seed uint64, floorPacing bool) string {
 	t.Helper()
 	c := buildRingJob(t, Config{
-		Nodes: nodes, Shards: shards, Topology: topology, Seed: seed,
+		Nodes: nodes, Topology: topology, Seed: seed, FloorPacing: floorPacing,
 		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 	}, 40)
 	defer c.Shutdown()
@@ -81,17 +79,31 @@ func runRing(t *testing.T, nodes, shards int, topology string, seed uint64) stri
 	return fingerprint(c, end)
 }
 
-// TestShardInvariance is the core PDES property: the simulation is
-// byte-identical at 1 shard (sequential), 4 shards and GOMAXPROCS shards,
-// on every topology.
+// TestShardInvariance is the core PDES property: where the windows fall is
+// invisible to the simulation. On every topology and at several node
+// counts, the run cut by the lookahead calendar is byte-identical to the
+// same run cut at every latency floor (FloorPacing), and neither depends on
+// how many OS threads carry the rank goroutines: each rank still hands off
+// to its engine through internal/proc, so GOMAXPROCS 1 and 4 must agree.
+// The name predates the sequential calendar, when shard scheduling cut
+// the windows.
 func TestShardInvariance(t *testing.T) {
 	for _, topo := range []string{"flat", "ring", "star"} {
 		t.Run(topo, func(t *testing.T) {
-			want := runRing(t, 4, 1, topo, 42)
-			for _, shards := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-				if got := runRing(t, 4, shards, topo, 42); got != want {
-					t.Errorf("shards=%d diverges from sequential:\n got:\n%s\nwant:\n%s",
-						shards, got, want)
+			for _, nodes := range []int{2, 3, 8} {
+				want := runRing(t, nodes, topo, 42, false)
+				if got := runRing(t, nodes, topo, 42, true); got != want {
+					t.Errorf("nodes=%d: floor-cut run diverges from the calendar's windows:\n got:\n%s\nwant:\n%s",
+						nodes, got, want)
+				}
+				for _, procs := range []int{1, 4} {
+					prev := runtime.GOMAXPROCS(procs)
+					got := runRing(t, nodes, topo, 42, false)
+					runtime.GOMAXPROCS(prev)
+					if got != want {
+						t.Errorf("nodes=%d: GOMAXPROCS=%d diverges:\n got:\n%s\nwant:\n%s",
+							nodes, procs, got, want)
+					}
 				}
 			}
 		})
@@ -101,7 +113,7 @@ func TestShardInvariance(t *testing.T) {
 // TestSeedsDiffer guards against the fingerprint being insensitive: two
 // different seeds must not produce the identical run.
 func TestSeedsDiffer(t *testing.T) {
-	if runRing(t, 2, 2, "flat", 1) == runRing(t, 2, 2, "flat", 2) {
+	if runRing(t, 2, "flat", 1, false) == runRing(t, 2, "flat", 2, false) {
 		t.Fatal("different seeds produced identical runs; fingerprint is blind")
 	}
 }
@@ -113,7 +125,7 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	opts := mpi.DefaultOptions()
 	opts.RemoteLatency = 0
 	c := buildRingJob(t, Config{
-		Nodes: 2, Shards: 1, Seed: 1, MPI: opts, NewNode: newTestNode,
+		Nodes: 2, Seed: 1, MPI: opts, NewNode: newTestNode,
 	}, 1)
 	defer c.Shutdown()
 	err := c.Finalize()
@@ -126,7 +138,7 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	}
 	// Run must surface the same rejection when Finalize was skipped.
 	c2 := buildRingJob(t, Config{
-		Nodes: 2, Shards: 1, Seed: 1, MPI: opts, NewNode: newTestNode,
+		Nodes: 2, Seed: 1, MPI: opts, NewNode: newTestNode,
 	}, 1)
 	defer c2.Shutdown()
 	if _, err := c2.Run(0); !errors.As(err, &le) {
@@ -143,11 +155,11 @@ func TestUnknownTopologyRejected(t *testing.T) {
 }
 
 // TestHorizonCap: ranks that outlive the horizon leave their nodes marked
-// capped, at exactly the horizon, identically at any shard count.
+// capped, at exactly the horizon, identically under either window cut.
 func TestHorizonCap(t *testing.T) {
-	run := func(shards int) string {
+	run := func(floorPacing bool) string {
 		c, err := New(Config{
-			Nodes: 2, Shards: shards, Seed: 7,
+			Nodes: 2, Seed: 7, FloorPacing: floorPacing,
 			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 		})
 		if err != nil {
@@ -179,8 +191,8 @@ func TestHorizonCap(t *testing.T) {
 		}
 		return fingerprint(c, end)
 	}
-	if a, b := run(1), run(2); a != b {
-		t.Errorf("capped run diverges across shards:\n got:\n%s\nwant:\n%s", b, a)
+	if a, b := run(false), run(true); a != b {
+		t.Errorf("capped run diverges under floor pacing:\n got:\n%s\nwant:\n%s", b, a)
 	}
 }
 
@@ -189,7 +201,7 @@ func TestHorizonCap(t *testing.T) {
 // *InterruptError naming the node.
 func TestInterruptAborts(t *testing.T) {
 	c := buildRingJob(t, Config{
-		Nodes: 2, Shards: 2, Seed: 3,
+		Nodes: 2, Seed: 3,
 		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 		OnNodeStop: func(node int) error { return fmt.Errorf("stopped by test (node %d)", node) },
 	}, 1_000_000)
@@ -212,9 +224,9 @@ func TestInterruptAborts(t *testing.T) {
 // TestCollectivesCrossNode: Barrier and the rooted collectives must work
 // over the interconnect (the cluster barrier is message-based).
 func TestCollectivesCrossNode(t *testing.T) {
-	run := func(shards int) sim.Time {
+	run := func(floorPacing bool) sim.Time {
 		c, err := New(Config{
-			Nodes: 2, Shards: shards, Seed: 11,
+			Nodes: 2, Seed: 11, FloorPacing: floorPacing,
 			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 		})
 		if err != nil {
@@ -244,21 +256,21 @@ func TestCollectivesCrossNode(t *testing.T) {
 		}
 		return end
 	}
-	if a, b := run(1), run(2); a != b {
-		t.Errorf("collective run diverges across shards: %v vs %v", a, b)
+	if a, b := run(false), run(true); a != b {
+		t.Errorf("collective run diverges under floor pacing: %v vs %v", a, b)
 	}
 }
 
 // TestLookaheadFloorPacingEquivalence is the pacing half of the PDES
-// determinism claim: the EOT/EIT lookahead horizon only moves window
-// boundaries, so a run under it is byte-identical to the same run under
-// the clock+floor cadence, on every topology and at several shard counts.
+// determinism claim: the lookahead horizon only moves window boundaries,
+// so a run under it is byte-identical to the same run under the
+// clock+floor cadence, on every topology.
 func TestLookaheadFloorPacingEquivalence(t *testing.T) {
 	for _, topo := range []string{"flat", "ring", "star"} {
 		t.Run(topo, func(t *testing.T) {
-			run := func(floorPacing bool, shards int) string {
+			run := func(floorPacing bool) string {
 				c := buildRingJob(t, Config{
-					Nodes: 4, Shards: shards, Topology: topo, Seed: 42,
+					Nodes: 4, Topology: topo, Seed: 42,
 					FloorPacing: floorPacing,
 					MPI:         mpi.DefaultOptions(), NewNode: newTestNode,
 				}, 40)
@@ -269,12 +281,8 @@ func TestLookaheadFloorPacingEquivalence(t *testing.T) {
 				}
 				return fingerprint(c, end)
 			}
-			want := run(true, 1)
-			for _, shards := range []int{1, 2, 4} {
-				if got := run(false, shards); got != want {
-					t.Errorf("lookahead shards=%d diverges from floor pacing:\n got:\n%s\nwant:\n%s",
-						shards, got, want)
-				}
+			if got, want := run(false), run(true); got != want {
+				t.Errorf("lookahead run diverges from floor pacing:\n got:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}
@@ -289,7 +297,7 @@ func TestLookaheadFloorPacingEquivalence(t *testing.T) {
 func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 	run := func(floorPacing bool) (*Cluster, sim.Time) {
 		c, err := New(Config{
-			Nodes: 2, Shards: 1, Seed: 9,
+			Nodes: 2, Seed: 9,
 			FloorPacing: floorPacing,
 			MPI:         mpi.DefaultOptions(), NewNode: newTestNode,
 		})
@@ -336,64 +344,59 @@ func TestIdlePeerDoesNotBlockEIT(t *testing.T) {
 	}
 }
 
-// TestPendingSendKeepsNodeAdvancing pins the first guard of demand-driven
-// windows: a node whose cross-node send is deferred behind a compute
-// publishes its clock as its bound, so it must keep running windows even
-// though none of them is due. Rank 0 queues 5ms of work ahead of its send
-// (after a first blocking compute, so every rank is placed before the send
-// is issued), and node 1 has nothing to do until the message lands: were
-// the not-due skip applied to node 0, its clock — and with it node 1's EIT
-// and its own round-trip horizon — would never move, and the run would
-// stall.
+// TestPendingSendKeepsNodeAdvancing pins the first guard of the calendar
+// keys: a node whose cross-node send is deferred behind a compute keys at
+// its clock, so it keeps running windows even though none of them is due.
+// Rank 0 queues 5ms of work ahead of its send (after a first blocking
+// compute, so every rank is placed before the send is issued), and node 1
+// has nothing to do until the message lands; the run must complete with
+// several windows of node 0 opened while the send was pending.
 func TestPendingSendKeepsNodeAdvancing(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		c, err := New(Config{
-			Nodes: 2, Shards: shards, Seed: 5,
-			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-		})
-		if err != nil {
-			t.Fatal(err)
+	c, err := New(Config{
+		Nodes: 2, Seed: 5,
+		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NewWorld([]int{0, 1})
+	c.World.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		r.Compute(10 * sim.Microsecond)
+		r.Env().DeferCompute(5 * sim.Millisecond)
+		r.Send(1, 0, 64)
+		r.Recv(1, 1)
+	})
+	c.World.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		r.Send(0, 1, 64)
+		r.Recv(0, 0)
+	})
+	var forced int
+	c.onWindow = func(w windowStat) {
+		if w.node == 0 && w.pendingSends {
+			forced++
 		}
-		c.NewWorld([]int{0, 1})
-		c.World.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
-			r.Compute(10 * sim.Microsecond)
-			r.Env().DeferCompute(5 * sim.Millisecond)
-			r.Send(1, 0, 64)
-			r.Recv(1, 1)
-		})
-		c.World.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
-			r.Send(0, 1, 64)
-			r.Recv(0, 0)
-		})
-		var forced int
-		c.onWindow = func(w windowStat) {
-			if w.node == 0 && w.pendingSends {
-				forced++ // single writer: node 0 has one owner shard
-			}
-		}
-		end, err := c.Run(0)
-		c.Shutdown()
-		if err != nil {
-			t.Fatalf("shards=%d: run failed: %v", shards, err)
-		}
-		if c.Capped(0) || c.Capped(1) {
-			t.Fatalf("shards=%d: a node capped at the horizon", shards)
-		}
-		if end < 5*sim.Millisecond {
-			t.Errorf("shards=%d: end = %v, before the deferred compute finished", shards, end)
-		}
-		if forced < 2 {
-			t.Errorf("shards=%d: %d windows ran with a send pending; the compute did not straddle a window boundary",
-				shards, forced)
-		}
+	}
+	end, err := c.Run(0)
+	c.Shutdown()
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	if c.Capped(0) || c.Capped(1) {
+		t.Fatalf("a node capped at the horizon")
+	}
+	if end < 5*sim.Millisecond {
+		t.Errorf("end = %v, before the deferred compute finished", end)
+	}
+	if forced < 2 {
+		t.Errorf("%d windows ran with a send pending; the compute did not straddle a window boundary", forced)
 	}
 }
 
 // runBTMZ runs a 4-node, 2-iteration BT-MZ job and returns the cluster.
-func runBTMZ(t *testing.T, shards int, onWindow func(windowStat)) *Cluster {
+func runBTMZ(t *testing.T, onWindow func(windowStat)) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Nodes: 4, Shards: shards, Seed: 42,
+		Nodes: 4, Seed: 42,
 		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 	})
 	if err != nil {
@@ -420,7 +423,7 @@ func TestNodeZeroDrawsTheRunStreams(t *testing.T) {
 		t.Fatal("NodeSeed: node 0 must take the seed itself, node 1 a derived one")
 	}
 	for _, shared := range []bool{false, true} {
-		c, err := New(Config{Nodes: 2, Shards: 1, Seed: 42, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
+		c, err := New(Config{Nodes: 2, Seed: 42, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,28 +449,27 @@ func TestNodeZeroDrawsTheRunStreams(t *testing.T) {
 	}
 }
 
-// TestBTMZWindowCount pins the window count of a fixed run exactly. At one
-// shard the visit order — and so every window boundary — is a pure
+// TestBTMZWindowCount pins the window count of a fixed run exactly. The
+// calendar's visit order — and so every window boundary — is a pure
 // function of the simulation, so any change to the pacing shows up here as
-// a different count, even one that leaves the timeline intact.
+// a different count, even one that leaves the timeline intact. The count
+// describes the executor, not the simulation: the sequential calendar runs
+// 459 windows where the sharded EOT/EIT executor it replaced ran 463.
 func TestBTMZWindowCount(t *testing.T) {
-	const want = 463
-	if got := runBTMZ(t, 1, nil).Windows(); got != want {
+	const want = 459
+	if got := runBTMZ(t, nil).Windows(); got != want {
 		t.Errorf("Windows() = %d, want %d", got, want)
 	}
 }
 
-// TestWindowsAreDue: under EOT/EIT pacing a window runs only when due, so
-// every executed window fires or injects at least one event — except the
-// horizon-capped ones and those forced by a send pending behind a compute.
-// Windows() counts exactly the executed windows.
+// TestWindowsAreDue: under the lookahead bound a window always reaches the
+// head's key, so every executed window fires or injects at least one event
+// — except the horizon-capped ones and those a send pending behind a
+// compute keys at the clock. Windows() counts exactly the executed windows.
 func TestWindowsAreDue(t *testing.T) {
 	check := func(t *testing.T, run func(onWindow func(windowStat)) *Cluster) {
-		var mu sync.Mutex
 		var seen, empty int64
 		c := run(func(w windowStat) {
-			mu.Lock()
-			defer mu.Unlock()
 			seen++
 			if w.fired+w.injected == 0 && !w.capped && !w.pendingSends {
 				empty++
@@ -480,87 +482,35 @@ func TestWindowsAreDue(t *testing.T) {
 			t.Errorf("Windows() = %d, observed %d executed windows", got, seen)
 		}
 	}
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("btmz/shards%d", shards), func(t *testing.T) {
-			check(t, func(onWindow func(windowStat)) *Cluster { return runBTMZ(t, shards, onWindow) })
-		})
-		for _, topo := range []string{"flat", "star"} {
-			t.Run(fmt.Sprintf("ring-%s/shards%d", topo, shards), func(t *testing.T) {
-				check(t, func(onWindow func(windowStat)) *Cluster {
-					c := buildRingJob(t, Config{
-						Nodes: 4, Shards: shards, Topology: topo, Seed: 42,
-						MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-					}, 40)
-					c.onWindow = onWindow
-					defer c.Shutdown()
-					if _, err := c.Run(0); err != nil {
-						t.Fatalf("run failed: %v", err)
-					}
-					return c
-				})
+	t.Run("btmz", func(t *testing.T) {
+		check(t, func(onWindow func(windowStat)) *Cluster { return runBTMZ(t, onWindow) })
+	})
+	for _, topo := range []string{"flat", "star"} {
+		t.Run("ring-"+topo, func(t *testing.T) {
+			check(t, func(onWindow func(windowStat)) *Cluster {
+				c := buildRingJob(t, Config{
+					Nodes: 4, Topology: topo, Seed: 42,
+					MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+				}, 40)
+				c.onWindow = onWindow
+				defer c.Shutdown()
+				if _, err := c.Run(0); err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				return c
 			})
-		}
+		})
 	}
 }
 
-// TestStallReported: when no shard can make progress the run must abort
-// with a *StallError naming every node's synchronisation state, not hang.
-// The stall is forced by pinning node 1's bound: a phantom undrained
-// message holds its fire cap on the 1→0 queue at instant 0, so node 0's
-// EIT never passes the latency floor and the two nodes wait on each other.
-func TestStallReported(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		c := buildRingJob(t, Config{
-			Nodes: 2, Shards: shards, Seed: 3,
-			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-		}, 40)
-		q := c.queues[1][0]
-		q.n.Store(1)
-		q.capW = 0
-		c.armed[1]++
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.Run(0)
-			done <- err
-		}()
-		var err error
-		select {
-		case err = <-done:
-		case <-time.After(time.Minute):
-			t.Fatalf("shards=%d: stalled run did not return", shards)
-		}
-		c.Shutdown()
-		var se *StallError
-		if !errors.As(err, &se) {
-			t.Fatalf("shards=%d: Run = %v, want *StallError", shards, err)
-		}
-		if len(se.Nodes) != 2 {
-			t.Fatalf("shards=%d: dump has %d nodes, want 2", shards, len(se.Nodes))
-		}
-		n1 := se.Nodes[1]
-		if n1.EOT != 0 || n1.ArmedCaps != 1 {
-			t.Errorf("shards=%d: node 1 dump = %+v, want the pinned bound 0 with one armed cap", shards, n1)
-		}
-		if want := c.Floor(); se.Nodes[0].EIT != want {
-			t.Errorf("shards=%d: node 0 EIT = %v, want the floor %v", shards, se.Nodes[0].EIT, want)
-		}
-		msg := err.Error()
-		for _, s := range []string{"stalled", "next_event", "eit", "armed", "inbound"} {
-			if !strings.Contains(msg, s) {
-				t.Errorf("shards=%d: error text lacks %q:\n%s", shards, s, msg)
-			}
-		}
-	}
-}
-
-// TestDeadlockedJobCaps pins the second guard of demand-driven windows: a
-// window reaching the run horizon always runs, even with nothing due. A
-// job whose rank waits for a message nobody sends drains its engine, so
-// only that final window can cap the node; skipping it would stall.
+// TestDeadlockedJobCaps pins the second guard of the calendar: a window
+// reaching the run horizon always runs, even with nothing due. A job whose
+// rank waits for a message nobody sends drains its engine, so only that
+// final window can cap the node; skipping it would stall.
 func TestDeadlockedJobCaps(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, floorPacing := range []bool{false, true} {
 		c, err := New(Config{
-			Nodes: 2, Shards: shards, Seed: 5,
+			Nodes: 2, Seed: 5, FloorPacing: floorPacing,
 			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 		})
 		if err != nil {
@@ -577,11 +527,11 @@ func TestDeadlockedJobCaps(t *testing.T) {
 		end, err := c.Run(50 * sim.Millisecond)
 		c.Shutdown()
 		if err != nil {
-			t.Fatalf("shards=%d: run failed: %v", shards, err)
+			t.Fatalf("floor=%v: run failed: %v", floorPacing, err)
 		}
 		if !c.Capped(0) || c.Capped(1) || end != 50*sim.Millisecond {
-			t.Errorf("shards=%d: end=%v capped=%v/%v, want node 0 alone capped at 50ms",
-				shards, end, c.Capped(0), c.Capped(1))
+			t.Errorf("floor=%v: end=%v capped=%v/%v, want node 0 alone capped at 50ms",
+				floorPacing, end, c.Capped(0), c.Capped(1))
 		}
 	}
 }
@@ -595,9 +545,9 @@ func TestDeadlockedJobCaps(t *testing.T) {
 func TestSendBeforePeerSpawn(t *testing.T) {
 	opts := mpi.DefaultOptions()
 	for _, size := range []int64{0, 1 << 20} {
-		for _, shards := range []int{1, 2} {
+		for _, floorPacing := range []bool{false, true} {
 			c, err := New(Config{
-				Nodes: 2, Shards: shards, Seed: 3,
+				Nodes: 2, FloorPacing: floorPacing, Seed: 3,
 				MPI: opts, NewNode: newTestNode,
 			})
 			if err != nil {
@@ -619,20 +569,20 @@ func TestSendBeforePeerSpawn(t *testing.T) {
 			_, err = c.Run(0)
 			c.Shutdown()
 			if err != nil {
-				t.Fatalf("size=%d shards=%d: run failed: %v", size, shards, err)
+				t.Fatalf("size=%d floor=%v: run failed: %v", size, floorPacing, err)
 			}
 			if c.Capped(0) || c.Capped(1) {
-				t.Fatalf("size=%d shards=%d: a node capped at the horizon; the message was lost", size, shards)
+				t.Fatalf("size=%d floor=%v: a node capped at the horizon; the message was lost", size, floorPacing)
 			}
 			if got != size {
-				t.Errorf("size=%d shards=%d: received %d bytes", size, shards, got)
+				t.Errorf("size=%d floor=%v: received %d bytes", size, floorPacing, got)
 			}
 			if lat := opts.RemoteLatency + sim.Time(float64(size)*opts.RemoteByteCost); arrived < lat {
-				t.Errorf("size=%d shards=%d: message arrived at %v, before the %v inter-node transfer",
-					size, shards, arrived, lat)
+				t.Errorf("size=%d floor=%v: message arrived at %v, before the %v inter-node transfer",
+					size, floorPacing, arrived, lat)
 			}
 			if _, _, remote := c.World.NodeMsgStats(0); remote != 1 {
-				t.Errorf("size=%d shards=%d: node 0 sent %d remote messages, want 1", size, shards, remote)
+				t.Errorf("size=%d floor=%v: node 0 sent %d remote messages, want 1", size, floorPacing, remote)
 			}
 		}
 	}
@@ -643,7 +593,7 @@ func TestSendBeforePeerSpawn(t *testing.T) {
 func TestClusterConstruction(t *testing.T) {
 	var seen []int
 	c, err := New(Config{
-		Nodes: 3, Shards: 1, Seed: 1, MPI: mpi.DefaultOptions(),
+		Nodes: 3, Seed: 1, MPI: mpi.DefaultOptions(),
 		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
 			seen = append(seen, node)
 			return newTestNode(node, eng)
@@ -728,10 +678,10 @@ func TestRanklessNodesFinishAtOnce(t *testing.T) {
 			want: 10 * sim.Millisecond,
 		},
 	} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
+		for _, pacing := range []string{"lookahead", "floor"} {
+			t.Run(tc.name+"/"+pacing, func(t *testing.T) {
 				c, err := New(Config{
-					Nodes: 2, Shards: shards, Seed: 5,
+					Nodes: 2, Seed: 5, FloorPacing: pacing == "floor",
 					MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 				})
 				if err != nil {
@@ -763,32 +713,30 @@ func TestRanklessNodesFinishAtOnce(t *testing.T) {
 // until that send has left: otherwise the message is lost and its receiver
 // blocks until the horizon.
 func TestLastSendDelivered(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		for _, floorPacing := range []bool{false, true} {
-			c, err := New(Config{
-				Nodes: 2, Shards: shards, Seed: 5, FloorPacing: floorPacing,
-				MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := c.NewWorld([]int{0, 1})
-			w.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
-				r.Compute(sim.Millisecond)
-				r.Send(1, 0, 0)
-			})
-			w.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
-				r.Recv(0, 0)
-			})
-			end, err := c.Run(10 * sim.Second)
-			c.Shutdown()
-			if err != nil {
-				t.Fatalf("shards=%d floor=%v: run failed: %v", shards, floorPacing, err)
-			}
-			if c.Capped(1) || end >= 10*sim.Millisecond {
-				t.Errorf("shards=%d floor=%v: end=%v, node 1 capped=%v; the last send was lost",
-					shards, floorPacing, end, c.Capped(1))
-			}
+	for _, floorPacing := range []bool{false, true} {
+		c, err := New(Config{
+			Nodes: 2, Seed: 5, FloorPacing: floorPacing,
+			MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := c.NewWorld([]int{0, 1})
+		w.Spawn(0, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Compute(sim.Millisecond)
+			r.Send(1, 0, 0)
+		})
+		w.Spawn(1, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Recv(0, 0)
+		})
+		end, err := c.Run(10 * sim.Second)
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("floor=%v: run failed: %v", floorPacing, err)
+		}
+		if c.Capped(1) || end >= 10*sim.Millisecond {
+			t.Errorf("floor=%v: end=%v, node 1 capped=%v; the last send was lost",
+				floorPacing, end, c.Capped(1))
 		}
 	}
 }

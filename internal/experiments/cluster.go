@@ -24,14 +24,11 @@ import (
 const clusterFaultSalt = 0xfa17_c105_0000_0000
 
 // ClusterInfo carries the per-node artifacts of a run. Every run has one:
-// a single-node run is a 1-node cluster, which runs one window on one
-// shard with Floor = sim.MaxTime (no cross-node traffic to pace).
+// a single-node run is a 1-node cluster, which runs one window with
+// Floor = sim.MaxTime (no cross-node traffic to pace).
 type ClusterInfo struct {
 	Nodes    int
 	Topology string
-	// Shards is the effective shard count the run used (after the ≤ 0 →
-	// GOMAXPROCS default and the clamp to Nodes). It never affects results.
-	Shards int
 	// Floor is the conservative lookahead floor the PDES ran with.
 	Floor sim.Time
 	// GVT is the final global virtual time (min over node ends).
@@ -44,28 +41,29 @@ type ClusterInfo struct {
 	RankNodes []int
 	// Recorders are the per-node trace recorders (nil entries unless
 	// Config.Trace). Runs of more than one node reject Config.TraceSink
-	// with a *TraceSinkError: a single sink cannot be shared across
-	// concurrently advancing node engines.
+	// with a *TraceSinkError: a single sink cannot take the interleaved
+	// windows of several node engines.
 	Recorders []*trace.Recorder
 	// Kernels are the per-node kernels, shut down; inspect counters only.
 	Kernels []*sched.Kernel
-	// Windows counts the lookahead windows the PDES executed across all
-	// nodes. Under EOT/EIT pacing a window runs only when due — it fires or
-	// injects at least one event — save a node's horizon-capped final
-	// window and the windows forced while a cross-node send waits behind
-	// a compute; under floor pacing one runs per latency floor of progress.
-	// WindowsElided estimates the floor-cadence windows the EOT/EIT
-	// lookahead collapsed, skipped not-due visits included. Both depend on
-	// shard scheduling, so they are diagnostics — deliberately absent from
-	// ClusterTimeline, which is pinned byte-for-byte across shard counts.
+	// Windows counts the windows the node calendar executed across all
+	// nodes. Under the lookahead bound a window fires or injects at least
+	// one event, save a node's horizon-capped final window and the windows
+	// run while a cross-node send waits behind a compute; under floor
+	// pacing one runs per latency floor of progress. WindowsElided
+	// estimates the floor-cadence windows the lookahead collapsed. Both
+	// describe the executor, not the simulation, so they are diagnostics —
+	// deliberately absent from ClusterTimeline, which is pinned
+	// byte-for-byte under either window cut.
 	Windows       int64
 	WindowsElided int64
 }
 
 // TraceSinkError reports a Config.TraceSink on a multi-node run. A sink is
-// one ordered stream, and cluster nodes advance concurrently on different
-// shards, so no sink can be shared between them; Config.Trace alone
-// records each node in memory (ClusterInfo.Recorders).
+// one time-ordered stream, and cluster nodes interleave their windows on
+// one goroutine — each node's clock runs ahead of the others' by up to a
+// window — so a shared sink would receive timestamps out of order;
+// Config.Trace alone records each node in memory (ClusterInfo.Recorders).
 type TraceSinkError struct {
 	Nodes int
 }
@@ -78,12 +76,12 @@ func (e *TraceSinkError) Error() string {
 // runJob is the one run path: it assembles max(Config.Nodes, 1) copies of
 // the paper's machine (newNode) on the nodes of an internal/cluster
 // cluster, tiles the job across them, installs per-node faults and
-// watchdogs, and advances the node engines with the conservative PDES.
-// Nothing forks on the node count. Every per-node rule gives node 0 the
+// watchdogs, and advances the node engines with the conservative node
+// calendar. Nothing forks on the node count. Every per-node rule gives node 0 the
 // streams of a lone machine — the run seed for its engine and faults, its
 // ranks' jitter split from its engine — and one node runs one window to
 // the horizon, so the single-node run is the 1-node cluster. The result is
-// byte-identical at any Config.Shards.
+// byte-identical under either window cut (Config.FloorPacing).
 func runJob(ctx context.Context, cfg Config, build func(workloads.Placement) *workloads.Job) (Result, error) {
 	nodes := max(cfg.Nodes, 1)
 	if cfg.TraceSink != nil && nodes > 1 {
@@ -99,7 +97,6 @@ func runJob(ctx context.Context, cfg Config, build func(workloads.Placement) *wo
 
 	cl, err := cluster.New(cluster.Config{
 		Nodes:       nodes,
-		Shards:      cfg.Shards,
 		Topology:    cfg.Topology,
 		Seed:        cfg.Seed,
 		FloorPacing: cfg.FloorPacing,
@@ -178,7 +175,6 @@ func runJob(ctx context.Context, cfg Config, build func(workloads.Placement) *wo
 	info := &ClusterInfo{
 		Nodes:     nodes,
 		Topology:  topology,
-		Shards:    cl.Shards(),
 		Floor:     cl.Floor(),
 		GVT:       cl.GVT(),
 		NodeEnds:  make([]sim.Time, nodes),
@@ -244,7 +240,7 @@ func runJob(ctx context.Context, cfg Config, build func(workloads.Placement) *wo
 // clusterFaultTimeline merges the per-node applied-action logs, each line
 // prefixed with its node ("n0 ", "n1 ", ...), in node order. It is a pure
 // function of (spec, seed, machine, topology) — the determinism tests
-// compare it byte-for-byte across worker and shard counts.
+// compare it byte-for-byte across worker counts and window cuts.
 func clusterFaultTimeline(injs []*faults.Injector) string {
 	var b strings.Builder
 	for node, inj := range injs {
@@ -261,8 +257,8 @@ func clusterFaultTimeline(injs []*faults.Injector) string {
 // ClusterTimeline renders a cluster run's deterministic fingerprint: the
 // run parameters, per-node ends and message counters, one line per rank
 // with its placement and summary metrics, and the fault timeline. Two runs
-// of the same configuration produce byte-identical timelines at any shard
-// count and GOMAXPROCS — the goldens pin exactly this string.
+// of the same configuration produce byte-identical timelines under either
+// window cut and at any GOMAXPROCS — the goldens pin exactly this string.
 func ClusterTimeline(res Result) string {
 	ci := res.Cluster
 	if ci == nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -21,14 +20,13 @@ var update = os.Getenv("UPDATE_GOLDEN") != ""
 
 // clusterCfg builds a small multi-node run: the paper workloads with their
 // iteration counts shrunk so a full cluster simulation stays test-sized.
-func clusterCfg(workload string, nodes, shards int, topology string, seed uint64) Config {
+func clusterCfg(workload string, nodes int, topology string, seed uint64) Config {
 	return Config{
 		Workload: workload,
 		Mode:     ModeAdaptive,
 		Seed:     seed,
 		Nodes:    nodes,
 		Topology: topology,
-		Shards:   shards,
 		Trace:    true,
 		TweakMetBench: func(c *workloads.MetBenchConfig) {
 			c.Iterations = 3
@@ -53,8 +51,8 @@ func clusterCfg(workload string, nodes, shards int, topology string, seed uint64
 	}
 }
 
-// clusterRunFingerprint runs the config and renders everything the shard
-// count must not change: the cluster timeline, the fault timeline and every
+// clusterRunFingerprint runs the config and renders everything the window
+// cut must not change: the cluster timeline, the fault timeline and every
 // node's rendered .prv trace.
 func clusterRunFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
@@ -75,8 +73,9 @@ func clusterRunFingerprint(t *testing.T, cfg Config) string {
 
 // TestClusterGoldenTimeline pins the headline determinism claim for every
 // workload: each 4-node cluster timeline (plus every node's .prv) is
-// byte-identical at 1 shard, 4 shards and GOMAXPROCS shards, and matches
-// its committed golden byte-for-byte. Regenerate with UPDATE_GOLDEN=1.
+// byte-identical whether the calendar cuts its windows at the lookahead
+// bound or at every latency floor, and matches its committed golden
+// byte-for-byte. Regenerate with UPDATE_GOLDEN=1.
 //
 // In the metbench, metbenchvar and siesta runs the last rank to exit on
 // one node ends with a cross-node send; their goldens pin that the send
@@ -96,18 +95,16 @@ func TestClusterGoldenTimeline(t *testing.T) {
 		{"matmul", "", 0},
 	} {
 		t.Run(tc.workload, func(t *testing.T) {
-			base := clusterCfg(tc.workload, 4, 1, "flat", 42)
+			base := clusterCfg(tc.workload, 4, "flat", 42)
 			base.Horizon = tc.horizon
 			if tc.faults != "" {
 				base.Faults = faults.MustParse(tc.faults)
 			}
 			got := clusterRunFingerprint(t, base)
-			for _, shards := range []int{4, runtime.GOMAXPROCS(0)} {
-				cfg := base
-				cfg.Shards = shards
-				if sharded := clusterRunFingerprint(t, cfg); sharded != got {
-					t.Fatalf("shards=%d run differs from sequential:\n%s", shards, firstDiff(got, sharded))
-				}
+			floor := base
+			floor.FloorPacing = true
+			if cut := clusterRunFingerprint(t, floor); cut != got {
+				t.Fatalf("floor-cut run differs from the calendar's windows:\n%s", firstDiff(got, cut))
 			}
 			path := filepath.Join("testdata", "golden_cluster_"+tc.workload+".txt")
 			if update {
@@ -138,8 +135,11 @@ func firstDiff(want, got string) string {
 }
 
 // TestClusterShardEquivalenceRandomized sweeps seeds, topologies and
-// workloads, requiring the sharded run to reproduce the sequential run
-// byte-for-byte — timelines, fault logs and traces.
+// workloads with faults injected, requiring the run cut at every latency
+// floor (FloorPacing) to reproduce the calendar's run byte-for-byte —
+// timelines, fault logs and traces. The name predates the sequential
+// calendar: the windows of the sharded executor it replaced were cut by
+// shard scheduling, and the floor cadence now plays that part.
 func TestClusterShardEquivalenceRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
@@ -151,12 +151,12 @@ func TestClusterShardEquivalenceRandomized(t *testing.T) {
 			for _, topo := range topologies {
 				name := fmt.Sprintf("%s/%s/seed%d", workload, topo, seed)
 				t.Run(name, func(t *testing.T) {
-					cfg := clusterCfg(workload, 3, 1, topo, seed)
+					cfg := clusterCfg(workload, 3, topo, seed)
 					cfg.Faults = faults.MustParse("stall:n=1,dur=100ms,by=1s")
-					seq := clusterRunFingerprint(t, cfg)
-					cfg.Shards = 4
-					if got := clusterRunFingerprint(t, cfg); got != seq {
-						t.Errorf("sharded run diverges:\n%s", firstDiff(seq, got))
+					want := clusterRunFingerprint(t, cfg)
+					cfg.FloorPacing = true
+					if got := clusterRunFingerprint(t, cfg); got != want {
+						t.Errorf("floor-cut run diverges:\n%s", firstDiff(want, got))
 					}
 				})
 			}
@@ -167,7 +167,7 @@ func TestClusterShardEquivalenceRandomized(t *testing.T) {
 // TestClusterFaultTimelinePerNode: every node compiles and applies its own
 // timeline, and the merged log prefixes each line with its node.
 func TestClusterFaultTimelinePerNode(t *testing.T) {
-	cfg := clusterCfg("metbench", 2, 2, "flat", 7)
+	cfg := clusterCfg("metbench", 2, "flat", 7)
 	cfg.Faults = faults.MustParse("slow:n=1,factor=0.5,dur=200ms,by=1s")
 	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestClusterCancelAborts(t *testing.T) {
 	t.Setenv("HPCSCHED_DIAG_DIR", dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := clusterCfg("metbench", 2, 2, "flat", 3)
+	cfg := clusterCfg("metbench", 2, "flat", 3)
 	// Cancellation is polled every interruptStride fired events; keep the
 	// full-size workload so every node comfortably outlives the first poll.
 	cfg.TweakMetBench = nil
@@ -221,16 +221,16 @@ func TestClusterCancelAborts(t *testing.T) {
 func TestScenarioSpecClusterFields(t *testing.T) {
 	spec := ScenarioSpec{
 		Workload: "btmz", Mode: ModeUniform, Seed: 5,
-		Nodes: 4, Topology: "ring", Shards: 2, Replicas: 2,
+		Nodes: 4, Topology: "ring", Replicas: 2,
 	}
 	cfgs := spec.Configs()
 	if len(cfgs) != 2 {
 		t.Fatalf("expanded %d configs, want 2", len(cfgs))
 	}
 	for i, c := range cfgs {
-		if c.Nodes != 4 || c.Topology != "ring" || c.Shards != 2 {
-			t.Errorf("config %d lost cluster fields: nodes=%d topology=%q shards=%d",
-				i, c.Nodes, c.Topology, c.Shards)
+		if c.Nodes != 4 || c.Topology != "ring" {
+			t.Errorf("config %d lost cluster fields: nodes=%d topology=%q",
+				i, c.Nodes, c.Topology)
 		}
 	}
 }
@@ -240,7 +240,7 @@ func TestScenarioSpecClusterFields(t *testing.T) {
 // and traffic crosses the interconnect.
 func TestClusterPlacementSpansNodes(t *testing.T) {
 	for _, workload := range []string{"metbench", "btmz", "matmul"} {
-		cfg := clusterCfg(workload, 2, 2, "flat", 9)
+		cfg := clusterCfg(workload, 2, "flat", 9)
 		res, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", workload, err)
@@ -258,11 +258,13 @@ func TestClusterPlacementSpansNodes(t *testing.T) {
 	}
 }
 
-// TestLookaheadFloorEquivalence is the pacing counterpart of the shard
-// sweep: the EOT/EIT lookahead only moves sync-window boundaries, so every
-// run — across node counts, topologies and seeds — must be byte-identical
-// to the same run forced onto the clock+floor cadence (Config.FloorPacing),
-// timelines, fault logs and traces included.
+// TestLookaheadFloorEquivalence is the BT-MZ half of the window-cut sweep
+// (TestClusterShardEquivalenceRandomized covers the other workloads): the
+// lookahead bound only moves window boundaries, so every run — across node
+// counts, topologies and seeds — must be byte-identical to the same run
+// forced onto the clock+floor cadence (Config.FloorPacing), timelines,
+// fault logs and traces included. 16 nodes exercises the multi-hop reach
+// closure the 4-node golden cannot.
 func TestLookaheadFloorEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
@@ -274,7 +276,7 @@ func TestLookaheadFloorEquivalence(t *testing.T) {
 			for _, topo := range topologies {
 				name := fmt.Sprintf("n%d/%s/seed%d", nodes, topo, seed)
 				t.Run(name, func(t *testing.T) {
-					cfg := clusterCfg("btmz", nodes, 1, topo, seed)
+					cfg := clusterCfg("btmz", nodes, topo, seed)
 					cfg.TweakBTMZ = func(c *workloads.BTMZConfig) { c.Iterations = 2 }
 					cfg.Faults = faults.MustParse("stall:n=1,dur=100ms,by=1s")
 					cfg.FloorPacing = true
@@ -289,11 +291,11 @@ func TestLookaheadFloorEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsTraceSink: a trace sink cannot be shared by node
-// engines advancing on different shards, so a multi-node run with one set
-// fails up front with a *TraceSinkError instead of silently dropping it.
+// TestClusterRejectsTraceSink: a trace sink cannot take the interleaved
+// windows of several node engines, so a multi-node run with one set fails
+// up front with a *TraceSinkError instead of silently dropping it.
 func TestClusterRejectsTraceSink(t *testing.T) {
-	cfg := clusterCfg("metbench", 2, 1, "flat", 1)
+	cfg := clusterCfg("metbench", 2, "flat", 1)
 	cfg.TraceSink = trace.NullSink{}
 	_, err := RunCtx(context.Background(), cfg)
 	var se *TraceSinkError
@@ -312,7 +314,7 @@ func TestClusterRejectsTraceSink(t *testing.T) {
 
 // TestSingleNodeRunIsOneWindow: a single-node run is the 1-node cluster, at
 // Nodes 0 and 1 alike, and it pays no pacing cost — one window to the
-// horizon on one shard, with no lookahead floor because there is no
+// horizon, with no lookahead floor because there is no
 // cross-node traffic. Its fault lines carry the node prefix like any
 // cluster run's.
 func TestSingleNodeRunIsOneWindow(t *testing.T) {
@@ -320,7 +322,7 @@ func TestSingleNodeRunIsOneWindow(t *testing.T) {
 		t.Run(workload, func(t *testing.T) {
 			var timelines []string
 			for _, nodes := range []int{0, 1} {
-				cfg := clusterCfg(workload, nodes, 0, "", 42)
+				cfg := clusterCfg(workload, nodes, "", 42)
 				cfg.Faults = faults.MustParse("slow:n=1,factor=0.5,dur=100ms,by=300ms")
 				res, err := RunCtx(context.Background(), cfg)
 				if err != nil {
@@ -330,9 +332,9 @@ func TestSingleNodeRunIsOneWindow(t *testing.T) {
 				if ci == nil {
 					t.Fatalf("Nodes=%d: Result.Cluster is nil", nodes)
 				}
-				if ci.Shards != 1 || ci.Windows != 1 || ci.Floor != sim.MaxTime {
-					t.Errorf("Nodes=%d: shards=%d windows=%d floor=%v, want 1, 1 and MaxTime",
-						nodes, ci.Shards, ci.Windows, ci.Floor)
+				if ci.Windows != 1 || ci.Floor != sim.MaxTime {
+					t.Errorf("Nodes=%d: windows=%d floor=%v, want 1 and MaxTime",
+						nodes, ci.Windows, ci.Floor)
 				}
 				for _, line := range strings.Split(res.FaultTimeline, "\n") {
 					if !strings.HasPrefix(line, "n0 ") {

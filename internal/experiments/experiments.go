@@ -87,20 +87,23 @@ type Config struct {
 	// Nodes is the size of the simulated cluster the workload is tiled
 	// across — each node a full copy of the paper's machine with its own
 	// kernel, noise and (per-node-scoped) faults — coupled by the
-	// inter-node MPI latency model and advanced as a sharded conservative
-	// PDES (internal/cluster). 0 or 1 is the paper's single-node run: the
-	// 1-node cluster, whose node 0 draws the very streams the run seed
-	// gives one machine.
+	// inter-node MPI latency model and advanced by a conservative
+	// sequential calendar of nodes (internal/cluster). 0 or 1 is the
+	// paper's single-node run: the 1-node cluster, whose node 0 draws the
+	// very streams the run seed gives one machine.
 	Nodes int
 	// Topology shapes inter-node latencies for cluster runs: "flat"
 	// (default), "ring" or "star".
 	Topology string
-	// Shards is the parallelism of a cluster run (≤ 0 → GOMAXPROCS). Any
-	// shard count produces the byte-identical simulation.
+	// Shards is ignored: a cluster run advances its nodes on one
+	// goroutine, and parallelism is across batch replicas. The field
+	// remains only because perfbench/ still sets it.
+	//
+	// Deprecated: ignored.
 	Shards int
 	// FloorPacing forces a cluster run onto the clock+floor window cadence
-	// instead of the default EOT/EIT lookahead. Results are byte-identical
-	// either way; the knob exists for the equivalence suite that proves it.
+	// instead of the default lookahead calendar. Results are byte-identical
+	// either way; the knob exists for the equivalence suites that prove it.
 	FloorPacing bool
 
 	// Noise overrides the default OS noise (nil → noise.DefaultConfig).
@@ -268,9 +271,7 @@ type node struct {
 
 // newNode assembles one machine on eng: chip, kernel, the mode's HPC
 // class, the trace recorder and OS noise, in that order (the order fixes
-// the engine's RNG draws, which the goldens pin). The nodes of a
-// multi-node run advance on different shards, so a caller-supplied
-// Config.PerfModel must then be safe for concurrent use.
+// the engine's RNG draws, which the goldens pin).
 func newNode(cfg Config, eng *sim.Engine) node {
 	pm := cfg.PerfModel
 	if pm == nil {

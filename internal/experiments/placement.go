@@ -25,7 +25,7 @@ type PlacerResult struct {
 // assigns the job's ranks from their weights, at most MachineCPUs per
 // node; the run itself is an ordinary cluster run of cfg, so cfg.Mode
 // picks the ranks' policy and every node's HPC class, and the results are
-// byte-identical at any cfg.Shards. A run error (a Config.TraceSink, or a
+// byte-identical under either window cut (cfg.FloorPacing). A run error (a Config.TraceSink, or a
 // StallTimeout abort) ends the comparison with the results so far.
 func ComparePlacers(cfg Config, job workloads.GangConfig, placers ...cluster.Placer) ([]PlacerResult, error) {
 	if len(placers) == 0 {

@@ -18,10 +18,10 @@ func gangJob(iterations int) workloads.GangConfig {
 
 // comparePlacers is ComparePlacers on a 2-node cluster, failing the test on
 // a run error.
-func comparePlacers(t *testing.T, mode Mode, seed uint64, shards int, job workloads.GangConfig,
+func comparePlacers(t *testing.T, mode Mode, seed uint64, floorPacing bool, job workloads.GangConfig,
 	placers ...cluster.Placer) []PlacerResult {
 	t.Helper()
-	results, err := ComparePlacers(Config{Mode: mode, Seed: seed, Nodes: 2, Shards: shards}, job, placers...)
+	results, err := ComparePlacers(Config{Mode: mode, Seed: seed, Nodes: 2, FloorPacing: floorPacing}, job, placers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func comparePlacers(t *testing.T, mode Mode, seed uint64, shards int, job worklo
 // gang placement beats block placement decisively, and within each node
 // HPCSched squeezes out the residual imbalance.
 func TestGangBeatsNaivePlacement(t *testing.T) {
-	results := comparePlacers(t, ModeUniform, 42, 0, gangJob(4))
+	results := comparePlacers(t, ModeUniform, 42, false, gangJob(4))
 	if len(results) != 3 {
 		t.Fatal("missing placers")
 	}
@@ -58,8 +58,8 @@ func TestGangBeatsNaivePlacement(t *testing.T) {
 // per-node HPC class still improves the run (the residual imbalance
 // inside each node).
 func TestHPCHelpsWithinNodes(t *testing.T) {
-	withHPC := comparePlacers(t, ModeUniform, 42, 0, gangJob(4), cluster.LPTPlacer{})[0]
-	without := comparePlacers(t, ModeBaseline, 42, 0, gangJob(4), cluster.LPTPlacer{})[0]
+	withHPC := comparePlacers(t, ModeUniform, 42, false, gangJob(4), cluster.LPTPlacer{})[0]
+	without := comparePlacers(t, ModeBaseline, 42, false, gangJob(4), cluster.LPTPlacer{})[0]
 	if withHPC.ExecTime >= without.ExecTime {
 		t.Fatalf("HPCSched inside nodes should help: %v vs %v",
 			withHPC.ExecTime, without.ExecTime)
@@ -67,14 +67,14 @@ func TestHPCHelpsWithinNodes(t *testing.T) {
 }
 
 // TestClusterDeterminism: a placer comparison is a pure function of its
-// inputs, byte-identical at one and two shards.
+// inputs: a repeat run and a floor-cut run reproduce it exactly.
 func TestClusterDeterminism(t *testing.T) {
-	want := comparePlacers(t, ModeUniform, 9, 1, gangJob(3))
-	for _, shards := range []int{1, 2} {
-		got := comparePlacers(t, ModeUniform, 9, shards, gangJob(3))
+	want := comparePlacers(t, ModeUniform, 9, false, gangJob(3))
+	for _, floorPacing := range []bool{false, true} {
+		got := comparePlacers(t, ModeUniform, 9, floorPacing, gangJob(3))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: comparison differs from the 1-shard run:\n%s\n---\n%s",
-				shards, FormatComparison(got), FormatComparison(want))
+			t.Fatalf("floor=%v: comparison differs from the calendar's run:\n%s\n---\n%s",
+				floorPacing, FormatComparison(got), FormatComparison(want))
 		}
 	}
 }
@@ -83,7 +83,7 @@ func TestClusterDeterminism(t *testing.T) {
 // on every node, a baseline run on none.
 func TestClusterHPCInstalled(t *testing.T) {
 	for _, mode := range []Mode{ModeUniform, ModeBaseline} {
-		cfg := clusterCfg("metbench", 2, 1, "flat", 1)
+		cfg := clusterCfg("metbench", 2, "flat", 1)
 		cfg.Mode = mode
 		res, err := RunCtx(context.Background(), cfg)
 		if err != nil {

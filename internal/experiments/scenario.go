@@ -72,13 +72,11 @@ type ScenarioSpec struct {
 	Seeds    []uint64
 	Replicas int
 
-	// Nodes/Topology/Shards size the cluster each run uses (see Config):
-	// Nodes scales the workload across that many simulated nodes (0 or 1
-	// is the paper's single node), Topology shapes the interconnect, Shards
-	// sets the PDES parallelism (results are shard-invariant).
+	// Nodes/Topology size the cluster each run uses (see Config): Nodes
+	// scales the workload across that many simulated nodes (0 or 1 is the
+	// paper's single node), Topology shapes the interconnect.
 	Nodes    int
 	Topology string
-	Shards   int
 
 	// Faults is the perturbation request (zero → provably no faults).
 	// FaultSeed pins the fault timeline independently of the run seed so
@@ -121,9 +119,6 @@ func (s ScenarioSpec) baseConfig() Config {
 	}
 	if s.Topology != "" {
 		c.Topology = s.Topology
-	}
-	if s.Shards != 0 {
-		c.Shards = s.Shards
 	}
 	c.Faults = s.Faults
 	c.FaultSeed = s.FaultSeed

@@ -94,20 +94,20 @@ type delivery struct {
 const initialInboxCap = 16
 
 // Router delivers messages between ranks whose nodes run on different
-// engines (the sharded-cluster transport, internal/cluster). RouteMessage
-// is called on the *sender's* engine goroutine at the virtual instant the
-// send overhead completes, with the arrival instant already stamped; the
-// router must hand the message to dst's engine so that dst.Deliver runs
-// there at exactly that instant. Stamping the arrival at send time — not
-// enqueueing at arrival time — is what makes the conservative-lookahead
-// bound sound: every message a node has not yet pushed is guaranteed to
-// arrive strictly later than its published clock plus the latency floor.
+// engines (the cluster transport, internal/cluster). RouteMessage is
+// called inside the *sender's* engine run at the virtual instant the send
+// overhead completes, with the arrival instant already stamped; the router
+// must hand the message to dst's engine so that dst.Deliver runs there at
+// exactly that instant. Stamping the arrival at send time — not enqueueing
+// at arrival time — is what makes the conservative-lookahead bound sound:
+// every message a node has not yet routed arrives at least the latency
+// floor after the node's next event.
 type Router interface {
 	RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *Rank, src, tag int, size int64)
 }
 
 // nodeState is the per-node half of the transport: everything Send touches
-// that would be shared mutable state across cluster shards lives here, so
+// that would be shared mutable state across cluster nodes lives here, so
 // two nodes on different engines never write the same memory. Single-node
 // worlds have exactly one, and the hot path is unchanged: the rank carries
 // a pointer, and the counter increments and pool operations cost the same
@@ -133,7 +133,7 @@ type nodeState struct {
 	// rank's deferred-step queue, not yet stamped with an arrival. While it
 	// is zero, every future send from this node must originate from an engine
 	// event at or after Engine.NextEventAt(), which is what lets the cluster
-	// pacing layer publish a next-event-based EOT instead of falling back to
+	// calendar key the node by its next event instead of falling back to
 	// the node's clock. Touched only on the node's own engine context.
 	pendingRoutes int64
 }
@@ -209,7 +209,7 @@ func NewWorld(k *sched.Kernel, size int, opts Options) *World {
 }
 
 // NewRoutedWorld creates a world spread over per-node engines coupled by
-// rt (the sharded-cluster transport): node n runs kernels[n], and rank i is
+// rt (the cluster transport): node n runs kernels[n], and rank i is
 // bound to node rankNodes[i] — kernel and transport state — before any rank
 // is spawned. Binding every rank up front is what lets a body send before
 // its peer is spawned: the send already prices and routes by the peer's
@@ -232,7 +232,7 @@ func (w *World) Nodes() int { return len(w.nodes) }
 // SetNodeExtraDelay scopes the fault-injected latency add-on to one node's
 // outgoing messages: per-node fault schedules then compose with the
 // rank-pair topology extras instead of overwriting each other, and two
-// nodes' injectors never write the same word from different shards.
+// nodes' injectors never write the same word.
 func (w *World) SetNodeExtraDelay(node int, d sim.Time) {
 	if d < 0 {
 		d = 0
@@ -296,8 +296,8 @@ func (w *World) MinPairExtraDelay(pairs [][2]int) sim.Time {
 }
 
 // MsgCount returns the number of messages sent, summed over nodes. Read it
-// only after the run completes (cluster shards update per-node counters
-// concurrently while running).
+// only after the run completes (cluster nodes update per-node counters
+// while running).
 func (w *World) MsgCount() int64 {
 	var n int64
 	for _, ns := range w.nodes {
@@ -334,9 +334,8 @@ func (w *World) NodeMsgStats(node int) (count, bytes, remote int64) {
 // NodePendingSends reports how many cross-node sends node has issued whose
 // deferred route step has not yet fired. When zero, the node's earliest
 // possible cross-node output is bounded below by its engine's
-// NextEventAt() — the refinement the cluster's EOT publication uses. Must
-// be called only while the node's engine is quiescent (between lookahead
-// windows, from the shard that owns the node).
+// NextEventAt() — the refinement the cluster calendar's node keys use. Must
+// be called only while the node's engine is quiescent (between windows).
 func (w *World) NodePendingSends(node int) int64 {
 	return w.nodes[node].pendingRoutes
 }
@@ -355,7 +354,7 @@ func (w *World) post(target *Rank, m message, delay sim.Time) {
 // payload, and returns it; its pre-bound fire callback is then scheduled by
 // the caller — immediately, or as a deferred step at the virtual instant
 // the sender's overhead charge completes. The pool is per node, so cluster
-// shards never contend on the free list.
+// nodes never share a free list.
 func (ns *nodeState) drawDelivery(target *Rank, m message) *delivery {
 	d := ns.freeDeliv
 	if d == nil {
@@ -564,7 +563,7 @@ func (r *Rank) Send(dst, tag int, size int64) {
 		delay += w.pairExtra[r.id*len(w.ranks)+dst]
 	}
 	if target.ns != ns {
-		// Cross-shard: defer a zero-delay route step so the arrival is
+		// Cross-node: defer a zero-delay route step so the arrival is
 		// stamped at the exact instant the overhead charge completes, then
 		// let the router carry it to the target's engine.
 		rr := ns.drawRoute(w, target, r.id, tag, size, delay)
@@ -819,7 +818,7 @@ func (r *Rank) waitallCheckFn() (done bool, reply any) {
 // instead: the shared-counter release wakes tasks on other kernels
 // directly, which is only sound when all ranks share one engine. The
 // message barrier rides the ordinary routed Send/Recv paths, so it is
-// correct — and deterministic — across shard boundaries. A routed world on
+// correct — and deterministic — across node boundaries. A routed world on
 // one node (a single-node run) keeps the shared counter.
 func (r *Rank) Barrier() {
 	if len(r.world.nodes) > 1 {

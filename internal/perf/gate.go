@@ -10,7 +10,7 @@ const (
 	MetricRate   = "events/sec"   // throughput, gated by a relative floor
 	MetricAllocs = "allocs/event" // allocator pressure, gated by an absolute ceiling
 	// MetricElided is the windows_elided counter cluster scenarios attach:
-	// the EOT/EIT lookahead must actually collapse sync windows, so a
+	// the cluster lookahead must actually collapse sync windows, so a
 	// fresh report whose cluster scenarios elide nothing fails the gate —
 	// the event-driven horizon has silently degenerated to floor cadence.
 	MetricElided = "windows_elided"
@@ -51,7 +51,7 @@ func (r Regression) String() string {
 			r.Scenario, r.Got, r.Base, r.Bound)
 	}
 	if r.Metric == MetricElided {
-		return fmt.Sprintf("%s: windows_elided = %.0f; the EOT/EIT lookahead collapsed no sync windows",
+		return fmt.Sprintf("%s: windows_elided = %.0f; the cluster lookahead collapsed no sync windows",
 			r.Scenario, r.Got)
 	}
 	return fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (%.2fx, gate %.2fx)",
@@ -133,8 +133,8 @@ func Gate(base, after Report, tol Tolerance) []Regression {
 // gateCounters checks the fresh report's counter invariants: any scenario
 // that reports a windows_elided diagnostic ran the cluster lookahead, and
 // a lookahead that elides zero windows has regressed to floor cadence (the
-// exact counter value is shard-timing noise, so only > 0 is asserted —
-// independent of any baseline).
+// exact count moves with any change to the executor, so only > 0 is
+// asserted — independent of any baseline).
 func gateCounters(after Report) []Regression {
 	var out []Regression
 	for _, m := range after.Measurements {

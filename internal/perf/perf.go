@@ -31,9 +31,10 @@ type Scenario struct {
 	// Counters, when non-nil, is called once after the measurement runs
 	// and its values are attached to the Measurement verbatim (typically
 	// stashed by the Run closure from its last repetition). Counters are
-	// diagnostics — cluster sync-window counts, elision estimates — whose
-	// values may vary with shard scheduling, so they are deliberately
-	// excluded from the deterministic event count the harness asserts on.
+	// diagnostics — cluster sync-window counts, elision estimates — which
+	// describe the executor rather than the simulation, so they are
+	// deliberately excluded from the deterministic event count the harness
+	// asserts on.
 	Counters func() map[string]int64
 }
 

@@ -64,7 +64,7 @@ func Suite() []Scenario {
 		},
 		clusterScenario(Scenario{
 			Name:  "cluster-btmz-4node",
-			Desc:  "4-node BT-MZ on the sharded cluster PDES under Uniform (shards = GOMAXPROCS)",
+			Desc:  "4-node BT-MZ on the cluster node calendar under Uniform",
 			Quick: true,
 		}, experiments.Config{
 			Workload: "btmz", Mode: experiments.ModeUniform, Seed: 42,
@@ -81,7 +81,7 @@ func Suite() []Scenario {
 		}),
 		clusterScenario(Scenario{
 			Name:  "cluster-idle-16node",
-			Desc:  "16-node star, imbalanced BT-MZ on noise-quieted nodes — EOT/EIT window-collapse showcase",
+			Desc:  "16-node star, imbalanced BT-MZ on noise-quieted nodes — lookahead window-collapse showcase",
 			Quick: true,
 		}, experiments.Config{
 			Workload: "btmz", Mode: experiments.ModeUniform, Seed: 42,
@@ -97,7 +97,7 @@ func Suite() []Scenario {
 				// One heavy rank per node: the three light ranks park in MPI
 				// wait phases most of each iteration, so nearly all windows
 				// under floor pacing cover no events at all — exactly the
-				// cadence the EOT/EIT horizon is meant to collapse.
+				// cadence the lookahead horizon is meant to collapse.
 				c.Iterations = 8
 				c.ZoneWork = []sim.Time{
 					14 * sim.Millisecond,
@@ -113,7 +113,7 @@ func Suite() []Scenario {
 // clusterScenario wires a cluster experiment into a Scenario: the run sums
 // fired events over every node kernel (whole-cluster throughput) and the
 // last run's sync-window diagnostics are attached as counters — windows
-// executed and the floor-cadence windows the EOT/EIT lookahead elided.
+// executed and the floor-cadence windows the lookahead elided.
 func clusterScenario(s Scenario, cfg experiments.Config) Scenario {
 	var last *experiments.ClusterInfo
 	s.Run = func() uint64 {

@@ -5,7 +5,7 @@
 // Tables III-VI (see EXPERIMENTS.md for the derivation).
 //
 // Every builder writes its rank bodies once and runs them on a Placement:
-// the nodes of a sharded cluster (*cluster.Cluster), one node being the
+// the nodes of a cluster (*cluster.Cluster), one node being the
 // paper's machine. A config describes one node's worth of ranks; on N
 // nodes the builder tiles that pattern N times — rank i takes the per-node
 // zone, worker cost and static priority of its position in the pattern,

@@ -11,12 +11,12 @@ import (
 	"hpcsched/internal/sim"
 )
 
-// newCluster returns an unsharded cluster of the given size on POWER5 chips
+// newCluster returns a cluster of the given size on POWER5 chips
 // of the given core count, each node's kernel passed through install.
 func newCluster(t *testing.T, nodes int, seed uint64, cores int, install func(*sched.Kernel)) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
-		Nodes: nodes, Shards: 1, Seed: seed, MPI: mpi.DefaultOptions(),
+		Nodes: nodes, Seed: seed, MPI: mpi.DefaultOptions(),
 		NewNode: func(_ int, e *sim.Engine) *sched.Kernel {
 			k := sched.NewKernel(e, power5.NewChip(cores, power5.NewCalibratedPerfModel()), sched.DefaultOptions())
 			if install != nil {
