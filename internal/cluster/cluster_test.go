@@ -288,7 +288,7 @@ func TestLookaheadFloorPacingEquivalence(t *testing.T) {
 	}
 }
 
-// TestIdlePeerDoesNotBlockEIT pins the point of the EOT/EIT horizon: a
+// TestIdlePeerDoesNotBlockEIT pins the point of the lookahead horizon: a
 // peer with no pending sends must not hold its neighbours to the floor
 // cadence. Node 1 computes one long stretch and exits without ever
 // sending, while node 0's pair exchanges locally; under floor pacing the

@@ -89,9 +89,9 @@ func Suite() []Scenario {
 			Topology: "star",
 			// Noise-quieted compute nodes (the NO_HZ_FULL story at cluster
 			// scale): one sparse daemon per CPU instead of desktop-grade
-			// background churn. Every local event a peer fires forces a
-			// fresh sync window on everyone under lookahead pacing, so the
-			// idle-node window count tracks the noise cadence directly.
+			// background churn. Under the lookahead calendar a node runs a
+			// window per burst of its own events, so the idle-node window
+			// count tracks the noise cadence directly.
 			Noise: &quietNodeNoise,
 			TweakBTMZ: func(c *workloads.BTMZConfig) {
 				// One heavy rank per node: the three light ranks park in MPI
