@@ -395,8 +395,14 @@ func TestPendingSendKeepsNodeAdvancing(t *testing.T) {
 // runBTMZ runs a 4-node, 2-iteration BT-MZ job and returns the cluster.
 func runBTMZ(t *testing.T, onWindow func(windowStat)) *Cluster {
 	t.Helper()
+	return runBTMZOn(t, 4, onWindow)
+}
+
+// runBTMZOn is runBTMZ on a cluster of the given node count.
+func runBTMZOn(t *testing.T, nodes int, onWindow func(windowStat)) *Cluster {
+	t.Helper()
 	c, err := New(Config{
-		Nodes: 4, Seed: 42,
+		Nodes: nodes, Seed: 42,
 		MPI: mpi.DefaultOptions(), NewNode: newTestNode,
 	})
 	if err != nil {
@@ -466,6 +472,8 @@ func TestBTMZWindowCount(t *testing.T) {
 // head's key, so every executed window fires or injects at least one event
 // — except the horizon-capped ones and those a send pending behind a
 // compute keys at the clock. Windows() counts exactly the executed windows.
+// Each job runs on 2 and on 4 nodes, so the calendar holds a pair and a
+// wider set of keys.
 func TestWindowsAreDue(t *testing.T) {
 	check := func(t *testing.T, run func(onWindow func(windowStat)) *Cluster) {
 		var seen, empty int64
@@ -482,24 +490,28 @@ func TestWindowsAreDue(t *testing.T) {
 			t.Errorf("Windows() = %d, observed %d executed windows", got, seen)
 		}
 	}
-	t.Run("btmz", func(t *testing.T) {
-		check(t, func(onWindow func(windowStat)) *Cluster { return runBTMZ(t, onWindow) })
-	})
-	for _, topo := range []string{"flat", "star"} {
-		t.Run("ring-"+topo, func(t *testing.T) {
+	for _, nodes := range []int{2, 4} {
+		t.Run(fmt.Sprintf("btmz/nodes%d", nodes), func(t *testing.T) {
 			check(t, func(onWindow func(windowStat)) *Cluster {
-				c := buildRingJob(t, Config{
-					Nodes: 4, Topology: topo, Seed: 42,
-					MPI: mpi.DefaultOptions(), NewNode: newTestNode,
-				}, 40)
-				c.onWindow = onWindow
-				defer c.Shutdown()
-				if _, err := c.Run(0); err != nil {
-					t.Fatalf("run failed: %v", err)
-				}
-				return c
+				return runBTMZOn(t, nodes, onWindow)
 			})
 		})
+		for _, topo := range []string{"flat", "star"} {
+			t.Run(fmt.Sprintf("ring-%s/nodes%d", topo, nodes), func(t *testing.T) {
+				check(t, func(onWindow func(windowStat)) *Cluster {
+					c := buildRingJob(t, Config{
+						Nodes: nodes, Topology: topo, Seed: 42,
+						MPI: mpi.DefaultOptions(), NewNode: newTestNode,
+					}, 40)
+					c.onWindow = onWindow
+					defer c.Shutdown()
+					if _, err := c.Run(0); err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					return c
+				})
+			})
+		}
 	}
 }
 
