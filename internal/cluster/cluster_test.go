@@ -79,15 +79,13 @@ func runRing(t *testing.T, nodes int, topology string, seed uint64, floorPacing 
 	return fingerprint(c, end)
 }
 
-// TestShardInvariance is the core PDES property: where the windows fall is
-// invisible to the simulation. On every topology and at several node
-// counts, the run cut by the lookahead calendar is byte-identical to the
-// same run cut at every latency floor (FloorPacing), and neither depends on
-// how many OS threads carry the rank goroutines: each rank still hands off
+// TestWindowCutInvariance is the core PDES property: where the windows
+// fall is invisible to the simulation. On every topology and at several
+// node counts, the run cut by the lookahead calendar is byte-identical to
+// the same run cut at every latency floor (FloorPacing), and neither
+// depends on how many OS threads the Go runtime has: each rank hands off
 // to its engine through internal/proc, so GOMAXPROCS 1 and 4 must agree.
-// The name predates the sequential calendar, when shard scheduling cut
-// the windows.
-func TestShardInvariance(t *testing.T) {
+func TestWindowCutInvariance(t *testing.T) {
 	for _, topo := range []string{"flat", "ring", "star"} {
 		t.Run(topo, func(t *testing.T) {
 			for _, nodes := range []int{2, 3, 8} {

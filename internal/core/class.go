@@ -110,8 +110,10 @@ func (c *HPCClass) Mechanism() Mechanism { return c.mechanism }
 // Name implements sched.Class.
 func (c *HPCClass) Name() string { return "hpc" }
 
+var hpcPolicies = []sched.Policy{sched.PolicyHPC}
+
 // Policies implements sched.Class.
-func (c *HPCClass) Policies() []sched.Policy { return []sched.Policy{sched.PolicyHPC} }
+func (c *HPCClass) Policies() []sched.Policy { return hpcPolicies }
 
 // NewRQ implements sched.Class.
 func (c *HPCClass) NewRQ(k *sched.Kernel, cpu int) sched.ClassRQ {

@@ -50,15 +50,15 @@ func (o ExecOptions) Hardened() bool {
 
 // ScenarioSpec is the unified run request of the redesigned API: one value
 // describing what to simulate (workload, scheduler mode, perturbations),
-// how often (replica seeds) and how to execute it (pool options). Every
-// legacy entry point — single runs, table reproductions, multi-seed
-// statistics, hardened fleets — is a thin expansion of this struct.
+// how often (replica seeds) and how to execute it (pool options). Table
+// reproductions, multi-seed statistics and hardened fleets are thin
+// expansions of this struct.
 type ScenarioSpec struct {
 	// Name labels the scenario in reports (optional).
 	Name string
 	// Workload is one of workloads.Names(). When empty and Advanced is
 	// set, the Advanced config is used verbatim (replication fields still
-	// apply) — the escape hatch the legacy wrappers ride.
+	// apply).
 	Workload string
 	// Mode is the scheduler configuration; Modes, when non-empty,
 	// overrides it with several (the grid is seed-major, mode-minor).
@@ -190,8 +190,8 @@ type ScenarioResult struct {
 }
 
 // RunScenario executes one scenario. Soft execution (the zero ExecOptions)
-// preserves the legacy contract exactly: identical results at any worker
-// count, panics propagate, all-or-nothing. Hardened execution records
+// gives identical results at any worker count, lets panics propagate and
+// is all-or-nothing. Hardened execution records
 // failures per replica instead.
 func RunScenario(ctx context.Context, spec ScenarioSpec) (ScenarioResult, error) {
 	sr := ScenarioResult{Spec: spec, Configs: spec.Configs()}

@@ -54,6 +54,14 @@ var committedPairs = []struct {
 	// unchanged code and land at 0.98–1.12x (noise), so the floor of 1.6
 	// leaves pair-mismatch headroom only.
 	{"BENCH_pre-calendar.json", "BENCH_calendar.json", "cluster-btmz-16node", 1.6},
+	// Process bodies as runtime coroutines (iter.Pull): the spin-then-park
+	// parker is gone and every Invoke/Resume is a coroswitch on one
+	// thread. Flagship is the 16-node cluster: 1.70x whole-cluster
+	// throughput (90.9 → 53.4 ns/event); every scenario gains, 1.13x
+	// (batch-metbench-8seeds) to 1.80x (btmz-trace-null). Best-of-36 over
+	// 12 interleaved rounds on a 2-CPU machine; the floor of 1.5 leaves
+	// pair-mismatch headroom only.
+	{"BENCH_pre-coro.json", "BENCH_coro.json", "cluster-btmz-16node", 1.5},
 }
 
 // TestCommittedReportsPassGate pins the repository's perf trajectory: every

@@ -69,7 +69,7 @@ func TestStartAfterKill(t *testing.T) {
 // start/park/kill lifecycle concurrently. Each process's own protocol is
 // strictly sequential (as in the real engine); the concurrency is across
 // processes, which is exactly the shape a parallel batch produces. Run
-// under -race this pins the parker handoffs and the kill paths.
+// under -race this pins the coroutine handoffs and the kill paths.
 func TestKillLifecycleStress(t *testing.T) {
 	const procs = 64
 	const rounds = 50

@@ -2,42 +2,45 @@
 // programs (MPI ranks, OS daemons) be written as ordinary sequential Go
 // functions while the simulation stays fully deterministic.
 //
-// Each Process runs its body on a dedicated goroutine, but the goroutine is
-// only ever runnable while the engine is blocked waiting for the process's
-// next request: control passes back and forth in strict lock-step, so at
-// any instant at most one goroutine in the whole simulation makes progress.
-// The result behaves like hand-written coroutines — no data races, no
-// scheduling nondeterminism — with none of the pain of writing workloads as
-// explicit state machines.
+// Each Process runs its body as a runtime coroutine (iter.Pull): the body
+// and the engine hand control back and forth in strict lock-step, so at any
+// instant exactly one of them makes progress. The result behaves like
+// hand-written coroutines — no data races, no scheduling nondeterminism —
+// with none of the pain of writing workloads as explicit state machines.
 //
-// The rendezvous is a custom two-party parker (parker.go), not a channel:
-// each side owns a park/unpark slot and the tagged message lives in a
-// single per-process field whose ownership alternates with the protocol.
-// Because the exchange is a strict ping-pong, a handoff is one message
-// write, one atomic swap to notify the peer, and one spin-then-park to wait
-// for the answer — no channel lock, no select, and on a multi-P runtime no
-// scheduler involvement at all while the peer spins. A process that
-// genuinely blocks (a rank in an MPI wait) falls back to a direct-handoff
-// sleep, so parked goroutines cost nothing while the simulation runs
-// elsewhere.
+// The handoff is the runtime's coroswitch: it swaps the body's goroutine
+// and the engine's on the same OS thread, without a trip through the
+// scheduler, without atomics of this package's own and without a spare CPU
+// to spin on. A request travels out as the coroutine's yielded value; the
+// reply travels back through one Process field, written by Resume just
+// before it switches to the body. A process that genuinely blocks (a rank
+// in an MPI wait) simply stays suspended in its yield and costs nothing
+// while the simulation runs elsewhere.
 //
 // Protocol: the engine calls Start to obtain the body's first request, then
 // repeatedly answers requests via Resume, which returns the next request.
 // When the body returns, Resume reports done=true. A process abandoned
 // mid-request (e.g. the simulation horizon was reached) must be released
-// with Kill, which unwinds the body's goroutine.
+// with Kill, which stops the coroutine: the body's pending Invoke panics
+// with an unexported sentinel that unwinds it, running its deferred calls.
+//
+// A body's panic is recovered on the body side and re-raised from Start or
+// Resume as a *PanicError naming the process. A body that calls
+// runtime.Goexit does not exit quietly: iter.Pull re-raises the Goexit on
+// the engine side, so it terminates the goroutine driving the process.
 //
 // The protocol is batch-friendly: a request is opaque, so a caller can make
 // one Invoke carry an entire queue of deferred operations and have the
-// engine drain it before replying — one goroutine handoff for the whole
-// batch. The sched.Env/mpi layers use exactly this (sched.batchReq and
-// sched.waitReq) to collapse a rank's per-iteration message traffic, and
-// its block/wake/re-check loops, into single exchanges.
+// engine drain it before replying — one handoff for the whole batch. The
+// sched.Env/mpi layers use exactly this (sched.batchReq and sched.waitReq)
+// to collapse a rank's per-iteration message traffic, and its
+// block/wake/re-check loops, into single exchanges.
 package proc
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // Request is an opaque service request from a process body to the engine.
@@ -50,25 +53,6 @@ type Request any
 // errKilled unwinds a killed process body. It is deliberately unexported:
 // bodies must not recover from it.
 var errKilled = errors.New("proc: process killed")
-
-// msgKind tags a message in the rendezvous slot.
-type msgKind uint8
-
-const (
-	msgRequest msgKind = iota // body → engine: service request
-	msgReply                  // engine → body: answer to the pending request
-	msgExit                   // body → engine: body returned
-	msgPanic                  // body → engine: body panicked (val holds the value)
-	msgKill                   // engine → body: unwind (Kill of a parked process)
-)
-
-// message is the rendezvous payload. It lives in the Process's msg slot;
-// ownership alternates with the protocol, so no exchange ever allocates.
-type message struct {
-	kind msgKind
-	req  Request
-	val  any // reply (msgReply) or panic value (msgPanic)
-}
 
 // PanicError wraps a panic raised inside a process body so the engine can
 // attribute it.
@@ -83,16 +67,19 @@ func (e *PanicError) Error() string {
 
 // Process is one simulated sequential program.
 type Process struct {
-	id   int
-	name string
-	body func(*Handle)
+	id     int
+	name   string
+	body   func(*Handle)
+	handle Handle
 
-	// msg is the rendezvous slot. The side that just called unpark has
-	// written it; the side that returns from park reads it. The parker's
-	// atomics order the accesses, so the slot itself needs none.
-	msg    message
-	engPk  parker // the engine parks here while the body runs
-	bodyPk parker // the body parks here while the engine runs
+	// The coroutine: next switches to the body until its next yield, stop
+	// unwinds it, and yield is the body-side half that Invoke calls.
+	next  func() (Request, bool)
+	stop  func()
+	yield func(Request) bool
+
+	reply    any // Resume's answer to the pending Invoke
+	panicVal any // the body's recovered panic; nil if it did not panic
 
 	started bool
 	done    bool
@@ -105,13 +92,8 @@ func New(id int, name string, body func(*Handle)) *Process {
 	if body == nil {
 		panic("proc: nil body")
 	}
-	p := &Process{
-		id:   id,
-		name: name,
-		body: body,
-	}
-	p.engPk.init()
-	p.bodyPk.init()
+	p := &Process{id: id, name: name, body: body}
+	p.handle.p = p
 	return p
 }
 
@@ -124,8 +106,8 @@ func (p *Process) Name() string { return p.name }
 // Done reports whether the body has returned (or the process was killed).
 func (p *Process) Done() bool { return p.done }
 
-// Handle is the body-side endpoint. It is only valid on the body's
-// goroutine, for the lifetime of the body function.
+// Handle is the body-side endpoint. It is only valid inside the body, for
+// the lifetime of the body function.
 type Handle struct {
 	p *Process
 }
@@ -133,27 +115,22 @@ type Handle struct {
 // Process returns the process this handle belongs to.
 func (h *Handle) Process() *Process { return h.p }
 
-// Invoke submits a request to the engine and blocks the body until the
-// engine answers via Resume. It returns the engine's reply.
-//
-// The lock-step protocol makes the bare slot exchange safe: the body only
-// runs while the engine is parked in next(), so the request write never
-// races the engine's read, and a Kill can only ever find the body in the
-// park below, where the kill notification unblocks it.
+// Invoke submits a request to the engine and suspends the body until the
+// engine answers via Resume. It returns the engine's reply. If the engine
+// kills the process instead, Invoke panics with errKilled, unwinding the
+// body.
 func (h *Handle) Invoke(req Request) any {
 	p := h.p
-	p.msg = message{kind: msgRequest, req: req}
-	p.engPk.unpark()
-	p.bodyPk.park()
-	m := p.msg
-	if m.kind == msgKill {
+	if !p.yield(req) {
 		panic(errKilled)
 	}
-	return m.val
+	r := p.reply
+	p.reply = nil
+	return r
 }
 
-// Start launches the body goroutine and returns its first request.
-// done is true if the body returned without issuing any request.
+// Start launches the body and returns its first request. done is true if
+// the body returned without issuing any request.
 // Starting a process that was already killed is a no-op reporting done=true:
 // a watchdog abort can Kill a whole kernel's process table, including
 // processes whose bodies were created but never launched, and launching one
@@ -166,8 +143,8 @@ func (p *Process) Start() (req Request, done bool) {
 		panic("proc: Start called twice")
 	}
 	p.started = true
-	go p.run()
-	return p.next()
+	p.next, p.stop = iter.Pull(p.run)
+	return p.pull()
 }
 
 // Resume delivers the engine's reply to the body's pending Invoke and
@@ -180,19 +157,13 @@ func (p *Process) Resume(reply any) (req Request, done bool) {
 	if p.done {
 		panic(fmt.Sprintf("proc: Resume on finished process %q", p.name))
 	}
-	p.msg = message{kind: msgReply, val: reply}
-	p.bodyPk.unpark()
-	return p.next()
+	p.reply = reply
+	return p.pull()
 }
 
-// Kill releases a process that is blocked inside Invoke, unwinding its
-// goroutine. It is idempotent. Killing a process that already finished is a
-// no-op.
-//
-// It must only be called while the process is parked in Invoke (the only
-// place a live process can be parked while the engine runs), so the kill
-// notification reaches the body directly; the unwinding goroutine exits
-// without emitting anything further.
+// Kill releases a process that is suspended inside Invoke, unwinding its
+// body. It is idempotent. Killing a process that already finished, or one
+// that was never started, is a no-op beyond marking it done.
 func (p *Process) Kill() {
 	if p.killed || p.done {
 		p.done = true
@@ -201,41 +172,35 @@ func (p *Process) Kill() {
 	p.killed = true
 	p.done = true
 	if p.started {
-		p.msg = message{kind: msgKill}
-		p.bodyPk.unpark()
+		p.stop()
 	}
 }
 
-func (p *Process) next() (Request, bool) {
-	p.engPk.park()
-	m := p.msg
-	switch m.kind {
-	case msgExit:
-		p.done = true
-		return nil, true
-	case msgPanic:
-		p.done = true
-		panic(&PanicError{Process: p.name, Value: m.val})
-	case msgRequest:
-		return m.req, false
-	default:
-		panic(fmt.Sprintf("proc: protocol violation: engine received %d", m.kind))
+// pull runs the body to its next request or to its end.
+func (p *Process) pull() (Request, bool) {
+	req, ok := p.next()
+	if ok {
+		return req, false
 	}
+	p.done = true
+	if p.panicVal != nil {
+		panic(&PanicError{Process: p.name, Value: p.panicVal})
+	}
+	return nil, true
 }
 
-func (p *Process) run() {
+// run is the coroutine body: it runs the process body and turns a panic
+// into state pull re-raises on the engine side. The unwind of a Kill is
+// silent: the engine has already moved on.
+func (p *Process) run(yield func(Request) bool) {
+	p.yield = yield
 	defer func() {
 		if v := recover(); v != nil {
 			if err, ok := v.(error); ok && errors.Is(err, errKilled) {
-				return // silent unwind; engine already moved on
+				return
 			}
-			p.msg = message{kind: msgPanic, val: v}
-			p.engPk.unpark()
-			return
+			p.panicVal = v
 		}
-		p.msg = message{kind: msgExit}
-		p.engPk.unpark()
 	}()
-	h := &Handle{p: p}
-	p.body(h)
+	p.body(&p.handle)
 }

@@ -44,10 +44,12 @@ func (e *cfsEntity) init(t *Task) {
 // fairClass is the Completely Fair Scheduler class.
 type fairClass struct{}
 
+var fairPolicies = []Policy{PolicyNormal, PolicyBatch}
+
 func newFairClass() *fairClass { return &fairClass{} }
 
 func (c *fairClass) Name() string       { return "fair" }
-func (c *fairClass) Policies() []Policy { return []Policy{PolicyNormal, PolicyBatch} }
+func (c *fairClass) Policies() []Policy { return fairPolicies }
 
 func (c *fairClass) NewRQ(k *Kernel, cpu int) ClassRQ {
 	return &cfsRQ{

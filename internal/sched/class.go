@@ -10,7 +10,8 @@ type Class interface {
 	// Name identifies the class ("rt", "hpc", "fair", "idle").
 	Name() string
 
-	// Policies lists the scheduling policies served by this class.
+	// Policies lists the scheduling policies served by this class. The
+	// slice may be shared between calls; callers must not modify it.
 	Policies() []Policy
 
 	// NewRQ creates the class's per-CPU run queue.

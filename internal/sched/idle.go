@@ -9,10 +9,12 @@ package sched
 // FIFO tasks at the bottom of the class order), and to render Figure 1.
 type idleClass struct{}
 
+var idlePolicies = []Policy{PolicyIdle}
+
 func newIdleClass() *idleClass { return &idleClass{} }
 
 func (c *idleClass) Name() string       { return "idle" }
-func (c *idleClass) Policies() []Policy { return []Policy{PolicyIdle} }
+func (c *idleClass) Policies() []Policy { return idlePolicies }
 
 func (c *idleClass) NewRQ(k *Kernel, cpu int) ClassRQ {
 	return &idleRQ{k: k, cpu: cpu}

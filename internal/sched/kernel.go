@@ -12,6 +12,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"hpcsched/internal/power5"
 	"hpcsched/internal/proc"
@@ -181,30 +182,13 @@ func NewKernel(engine *sim.Engine, chip *power5.Chip, opts Options) *Kernel {
 }
 
 func (k *Kernel) buildRQs() {
-	// Classes are only (re)registered before any task exists, so all the
-	// queued-task counters restart from their true value: zero.
-	k.nrQueued = 0
 	k.nrQueuedClass = make([]int, len(k.classes))
-	old := k.rqs
 	k.rqs = make([]*RunQueue, k.Chip.NumCPUs())
 	k.onlineCPUs = len(k.rqs)
 	for cpu := range k.rqs {
-		rq := &RunQueue{CPU: cpu, kernel: k}
-		if old != nil {
-			// Re-registration keeps the already-armed ticker (and its
-			// cadence anchor): the tick closure looks its RunQueue up
-			// through k.rqs, so it follows the rebuild transparently.
-			prev := old[cpu]
-			rq.tickEv = prev.tickEv
-			rq.gridBase = prev.gridBase
-			rq.loadTicked = prev.loadTicked
-			rq.lastTickAt = prev.lastTickAt
-			if prev.tickParked {
-				panic("sched: class registration with a parked tick")
-			}
-		}
-		for _, c := range k.classes {
-			rq.classRQ = append(rq.classRQ, c.NewRQ(k, cpu))
+		rq := &RunQueue{CPU: cpu, kernel: k, classRQ: make([]ClassRQ, len(k.classes))}
+		for i, c := range k.classes {
+			rq.classRQ[i] = c.NewRQ(k, cpu)
 		}
 		// One scheduling-pass closure per run queue for its whole lifetime:
 		// Resched re-arms pooled events with this callback instead of
@@ -228,8 +212,14 @@ func (k *Kernel) RegisterClassBefore(name string, c Class) {
 	}
 	for i, existing := range k.classes {
 		if existing.Name() == name {
-			k.classes = append(k.classes[:i], append([]Class{c}, k.classes[i:]...)...)
-			k.buildRQs()
+			// No task exists yet, so every queue is empty: the new class's
+			// run queues slot in beside the existing ones, which keep their
+			// armed tickers.
+			k.classes = slices.Insert(k.classes, i, c)
+			k.nrQueuedClass = slices.Insert(k.nrQueuedClass, i, 0)
+			for _, rq := range k.rqs {
+				rq.classRQ = slices.Insert(rq.classRQ, i, c.NewRQ(k, rq.CPU))
+			}
 			return
 		}
 	}

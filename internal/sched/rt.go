@@ -13,10 +13,12 @@ type rtEntity struct {
 // framework (paper §III). Higher RTPrio wins.
 type rtClass struct{}
 
+var rtPolicies = []Policy{PolicyFIFO, PolicyRR}
+
 func newRTClass() *rtClass { return &rtClass{} }
 
 func (c *rtClass) Name() string       { return "rt" }
-func (c *rtClass) Policies() []Policy { return []Policy{PolicyFIFO, PolicyRR} }
+func (c *rtClass) Policies() []Policy { return rtPolicies }
 
 func (c *rtClass) NewRQ(k *Kernel, cpu int) ClassRQ {
 	return &rtRQ{k: k, cpu: cpu}
