@@ -138,8 +138,8 @@ func firstDiff(want, got string) string {
 // workloads with faults injected, requiring the run cut at every latency
 // floor (FloorPacing) to reproduce the calendar's run byte-for-byte —
 // timelines, fault logs and traces. The name predates the sequential
-// calendar: the windows of the sharded executor it replaced were cut by
-// shard scheduling, and the floor cadence now plays that part.
+// calendar (it once compared shard counts); it is kept so the test's ID
+// stays stable.
 func TestClusterShardEquivalenceRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
