@@ -14,8 +14,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,17 +27,29 @@ import (
 	"hpcsched/internal/trace"
 )
 
-func main() {
-	wl := flag.String("workload", "metbench", "workload name")
-	modeName := flag.String("mode", "baseline", "baseline|static|uniform|adaptive|hybrid|policy-only")
-	seed := flag.Uint64("seed", 42, "simulation seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	ascii := flag.Bool("ascii", false, "ASCII timeline instead of .prv")
-	byCPU := flag.Bool("bycpu", false, "machine-centric view: one row per CPU (ASCII mode)")
-	width := flag.Int("width", 100, "timeline columns (ASCII mode)")
-	from := flag.Float64("from", 0, "window start, seconds (ASCII mode)")
-	to := flag.Float64("to", 0, "window end, seconds (ASCII mode; 0 = full)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns the
+// exit code: 2 for bad flags, an unknown mode or an unknown workload, 1 for
+// an output error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paratrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "metbench", "workload name")
+	modeName := fs.String("mode", "baseline", "baseline|static|uniform|adaptive|hybrid|policy-only")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	out := fs.String("o", "", "output file (default stdout)")
+	ascii := fs.Bool("ascii", false, "ASCII timeline instead of .prv")
+	byCPU := fs.Bool("bycpu", false, "machine-centric view: one row per CPU (ASCII mode)")
+	width := fs.Int("width", 100, "timeline columns (ASCII mode)")
+	from := fs.Float64("from", 0, "window start, seconds (ASCII mode)")
+	to := fs.Float64("to", 0, "window end, seconds (ASCII mode; 0 = full)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var mode experiments.Mode
 	switch strings.ToLower(*modeName) {
@@ -51,40 +66,47 @@ func main() {
 	case "policy-only", "hpconly":
 		mode = experiments.ModeHPCOnly
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown mode %q\n", *modeName)
+		return 2
+	}
+	cfg := experiments.Config{Workload: *wl, Mode: mode, Seed: *seed, Trace: true}
+	// runErr reports a rejected run: an unknown workload is a usage error.
+	runErr := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		var ue *experiments.UnknownWorkloadError
+		if errors.As(err, &ue) {
+			return 2
+		}
+		return 1
 	}
 
 	if !*ascii && !*byCPU && *out != "" {
-		// Stream the .prv straight to the output file.
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		// Stream the .prv straight to the output file, which is created
+		// only once the run writes to it.
+		f := &lazyFile{name: *out}
 		sink := trace.NewPRVSink(f)
-		experiments.Run(experiments.Config{
-			Workload: *wl, Mode: mode, Seed: *seed, Trace: true, TraceSink: sink,
-		})
-		if err := sink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		cfg.TraceSink = sink
+		if _, err := experiments.RunCtx(context.Background(), cfg); err != nil {
+			f.close()
+			return runErr(err)
 		}
-		size := int64(-1)
-		if info, err := f.Stat(); err == nil {
-			size = info.Size()
+		err := sink.Err()
+		size := f.size()
+		if cerr := f.close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes, streamed)\n", *out, size)
-		return
+		fmt.Fprintf(stderr, "wrote %s (%d bytes, streamed)\n", *out, size)
+		return 0
 	}
 
-	r := experiments.Run(experiments.Config{
-		Workload: *wl, Mode: mode, Seed: *seed, Trace: true,
-	})
+	r, err := experiments.RunCtx(context.Background(), cfg)
+	if err != nil {
+		return runErr(err)
+	}
 	var body string
 	if *ascii || *byCPU {
 		opt := trace.RenderOptions{
@@ -103,12 +125,64 @@ func main() {
 		body = r.Recorder.ExportPRV()
 	}
 	if *out == "" {
-		fmt.Print(body)
-		return
+		fmt.Fprint(stdout, body)
+		return 0
 	}
 	if err := os.WriteFile(*out, []byte(body), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(body))
+	fmt.Fprintf(stderr, "wrote %s (%d bytes)\n", *out, len(body))
+	return 0
+}
+
+// lazyFile is an io.WriteSeeker over the named file that creates the file
+// on its first write or seek, so a run rejected before it traces anything
+// leaves no file behind.
+type lazyFile struct {
+	name string
+	f    *os.File
+}
+
+func (l *lazyFile) open() error {
+	if l.f != nil {
+		return nil
+	}
+	f, err := os.Create(l.name)
+	if err != nil {
+		return err
+	}
+	l.f = f
+	return nil
+}
+
+func (l *lazyFile) Write(b []byte) (int, error) {
+	if err := l.open(); err != nil {
+		return 0, err
+	}
+	return l.f.Write(b)
+}
+
+func (l *lazyFile) Seek(offset int64, whence int) (int64, error) {
+	if err := l.open(); err != nil {
+		return 0, err
+	}
+	return l.f.Seek(offset, whence)
+}
+
+// size returns the file's size, or -1 when unknown.
+func (l *lazyFile) size() int64 {
+	if l.f != nil {
+		if info, err := l.f.Stat(); err == nil {
+			return info.Size()
+		}
+	}
+	return -1
+}
+
+func (l *lazyFile) close() error {
+	if l.f == nil {
+		return nil
+	}
+	return l.f.Close()
 }

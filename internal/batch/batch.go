@@ -19,7 +19,9 @@ package batch
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -49,6 +51,15 @@ func (o Options) workers(n int) int {
 	return w
 }
 
+// GoexitError reports a job whose goroutine ended by runtime.Goexit (a
+// t.FailNow inside it, say) instead of returning, so its result slot holds
+// the zero value. Index is the lowest such job's position in the input.
+type GoexitError struct{ Index int }
+
+func (e *GoexitError) Error() string {
+	return fmt.Sprintf("batch: job %d ended by runtime.Goexit without returning a result", e.Index)
+}
+
 // Map applies fn to every item on a worker pool and returns the results
 // in input order, independent of completion order. fn must be safe to
 // call concurrently and should treat (index, item) as its only inputs;
@@ -56,9 +67,12 @@ func (o Options) workers(n int) int {
 // observe cancellation.
 //
 // On cancellation Map stops handing out new jobs, waits for the jobs
-// already running to return, and reports ctx.Err(). The returned slice
-// is always len(items) long; entries whose job never ran are zero
-// values, so a non-nil error means the batch is incomplete.
+// already running to return, and reports ctx.Err(). A job whose goroutine
+// ends by runtime.Goexit takes its worker with it: a fresh worker takes
+// its place, every other job still runs, and Map reports a *GoexitError.
+// The returned slice is always len(items) long; entries whose job never
+// ran or never returned are zero values, so a non-nil error means the
+// batch is incomplete.
 func Map[I, O any](ctx context.Context, opts Options, items []I, fn func(ctx context.Context, index int, item I) O) ([]O, error) {
 	n := len(items)
 	out := make([]O, n)
@@ -67,9 +81,10 @@ func Map[I, O any](ctx context.Context, opts Options, items []I, fn func(ctx con
 	}
 
 	var (
-		mu   sync.Mutex
-		next int
-		done int
+		mu     sync.Mutex
+		next   int
+		done   int
+		exited []int // jobs that ended by runtime.Goexit
 	)
 	// claim hands out job indices; it is the only scheduling decision in
 	// the pool, and it never influences where a result lands in out.
@@ -97,25 +112,46 @@ func Map[I, O any](ctx context.Context, opts Options, items []I, fn func(ctx con
 	}
 
 	var wg sync.WaitGroup
+	var work func()
+	work = func() {
+		running := -1 // the claimed job while fn has not returned
+		defer func() {
+			if running >= 0 {
+				// fn never returned, so this goroutine is unwinding by
+				// runtime.Goexit (a panic goes on to end the process):
+				// record the job and hand the rest to a fresh worker.
+				mu.Lock()
+				exited = append(exited, running)
+				mu.Unlock()
+				finish()
+				wg.Add(1)
+				go work()
+			}
+			wg.Done()
+		}()
+		for {
+			i, ok := claim()
+			if !ok {
+				return
+			}
+			running = i
+			out[i] = fn(ctx, i, items[i])
+			running = -1
+			finish()
+		}
+	}
 	for w := opts.workers(n); w > 0; w-- {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := claim()
-				if !ok {
-					return
-				}
-				out[i] = fn(ctx, i, items[i])
-				finish()
-			}
-		}()
+		go work()
 	}
 	wg.Wait()
 
 	mu.Lock()
 	complete := done == n
 	mu.Unlock()
+	if len(exited) > 0 {
+		return out, &GoexitError{Index: slices.Min(exited)}
+	}
 	if !complete {
 		if err := ctx.Err(); err != nil {
 			return out, err

@@ -78,6 +78,34 @@ func TestMapProgressOrderedAndComplete(t *testing.T) {
 	}
 }
 
+// TestMapGoexitReportsJob pins that a job ending by runtime.Goexit (a
+// t.FailNow inside it, say) is reported by index instead of vanishing as a
+// zero result, and that its worker's exit does not strand the later jobs.
+func TestMapGoexitReportsJob(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		var progress int
+		out, err := Map(context.Background(), Options{
+			Workers:  w,
+			Progress: func(done, _ int) { progress = done },
+		}, []int{1, 2, 3, 4}, func(_ context.Context, i, x int) int {
+			if i == 1 {
+				runtime.Goexit()
+			}
+			return x * 10
+		})
+		var ge *GoexitError
+		if !errors.As(err, &ge) || ge.Index != 1 {
+			t.Fatalf("workers=%d: err = %v, want a *GoexitError for job 1", w, err)
+		}
+		if !reflect.DeepEqual(out, []int{10, 0, 30, 40}) {
+			t.Fatalf("workers=%d: out = %v, want [10 0 30 40]", w, out)
+		}
+		if progress != 4 {
+			t.Fatalf("workers=%d: progress reached %d of 4", w, progress)
+		}
+	}
+}
+
 func TestMapCancellationPromptNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

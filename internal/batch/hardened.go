@@ -25,6 +25,9 @@ const (
 	// within the grace period after cancellation — a stuck handoff the
 	// cooperative machinery cannot reach. Its goroutine is abandoned.
 	KindWedged
+	// KindGoexit: the attempt's goroutine ended by runtime.Goexit without
+	// returning; Err is a *GoexitError.
+	KindGoexit
 )
 
 func (k FailureKind) String() string {
@@ -37,6 +40,8 @@ func (k FailureKind) String() string {
 		return "timeout"
 	case KindWedged:
 		return "wedged"
+	case KindGoexit:
+		return "goexit"
 	default:
 		return fmt.Sprintf("FailureKind(%d)", int(k))
 	}
@@ -100,6 +105,7 @@ type attemptResult[O any] struct {
 	out      O
 	err      error
 	panicked bool
+	exited   bool // ended by runtime.Goexit
 	panicVal any
 	stack    string
 }
@@ -180,15 +186,19 @@ func runAttempt[I, O any](ctx context.Context, timeout, grace time.Duration,
 	resCh := make(chan attemptResult[O], 1)
 	go func() {
 		var r attemptResult[O]
+		returned := false
 		defer func() {
 			if v := recover(); v != nil {
 				r.panicked = true
 				r.panicVal = v
 				r.stack = string(debug.Stack())
+			} else if !returned {
+				r.exited = true
 			}
 			resCh <- r
 		}()
 		r.out, r.err = fn(actx, index, attempt, item)
+		returned = true
 	}()
 
 	var timer *time.Timer
@@ -224,7 +234,7 @@ func runAttempt[I, O any](ctx context.Context, timeout, grace time.Duration,
 		cancel()
 		select {
 		case r := <-resCh:
-			if r.panicked {
+			if r.panicked || r.exited {
 				_, je := settleResult(index, attempt, r)
 				return zero, je
 			}
@@ -250,6 +260,9 @@ func settleResult[O any](index, attempt int, r attemptResult[O]) (O, *JobError) 
 		return zero, &JobError{Index: index, Attempts: attempt + 1, Kind: KindPanic,
 			Err:   fmt.Errorf("batch: job %d attempt %d panicked: %v", index, attempt, r.panicVal),
 			Stack: r.stack}
+	case r.exited:
+		return zero, &JobError{Index: index, Attempts: attempt + 1, Kind: KindGoexit,
+			Err: &GoexitError{Index: index}}
 	case r.err != nil:
 		return zero, &JobError{Index: index, Attempts: attempt + 1, Kind: KindError, Err: r.err}
 	default:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,32 @@ func TestMapHardenedAllSucceed(t *testing.T) {
 	for i, x := range items {
 		if out[i] != x*x {
 			t.Fatalf("out[%d] = %d, want %d", i, out[i], x*x)
+		}
+	}
+}
+
+// TestMapHardenedGoexit pins that an attempt ending by runtime.Goexit is a
+// failure of its job, not a zero-valued success.
+func TestMapHardenedGoexit(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		out, failed, err := MapHardened(context.Background(),
+			HardenedOptions{Options: Options{Workers: w}}, []int{1, 2, 3, 4},
+			func(_ context.Context, i, _ int, x int) (int, error) {
+				if i == 1 {
+					runtime.Goexit()
+				}
+				return x * 10, nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		var ge *GoexitError
+		if len(failed) != 1 || failed[0].Index != 1 || failed[0].Kind != KindGoexit ||
+			!errors.As(failed[0], &ge) || ge.Index != 1 {
+			t.Fatalf("workers=%d: failed = %v, want job 1 failed by goexit", w, failed)
+		}
+		if out[0] != 10 || out[1] != 0 || out[2] != 30 || out[3] != 40 {
+			t.Fatalf("workers=%d: out = %v, want [10 0 30 40]", w, out)
 		}
 	}
 }

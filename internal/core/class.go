@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpcsched/internal/sched"
+	"hpcsched/internal/sim"
 )
 
 // Discipline selects the HPC class's queueing algorithm. The paper
@@ -381,8 +382,8 @@ func (rq *hpcRQ) Tick(t *sched.Task) {
 
 // TickNoops implements sched.TickHorizon. FIFO never reschedules from the
 // tick; with an empty queue the RR clause (rq.n > 0) cannot fire either —
-// the quantum then merely drifts negative, bookkeeping the replayed Tick
-// calls reproduce exactly. Otherwise the quantum reaches zero after an
+// the quantum then merely drifts negative, bookkeeping ElideTicks
+// reproduces exactly. Otherwise the quantum reaches zero after an
 // exactly computable number of per-period decrements.
 func (rq *hpcRQ) TickNoops(t *sched.Task) int {
 	if rq.class.disc != DisciplineRR || rq.n == 0 {
@@ -393,6 +394,16 @@ func (rq *hpcRQ) TickNoops(t *sched.Task) int {
 		return 0
 	}
 	return int((s.rrSlice - 1) / rq.k.Opts.TickPeriod)
+}
+
+// ElideTicks implements sched.TickHorizon: n RR quantum decrements. Inside
+// a TickNoops bound none of them reaches the Resched clause, and with an
+// empty queue the quantum drifts negative exactly as n Tick calls leave
+// it. FIFO keeps no quantum.
+func (rq *hpcRQ) ElideTicks(t *sched.Task, n int) {
+	if rq.class.disc == DisciplineRR {
+		rq.rrStateFor(t).rrSlice -= sim.Time(n) * rq.k.Opts.TickPeriod
+	}
 }
 
 // tickNoopsForever mirrors sched.tickNoopsForever: any value far above the

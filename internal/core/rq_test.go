@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hpcsched/internal/sched"
+	"hpcsched/internal/sim"
 )
 
 // newTask builds a bare task usable by the ring (Enqueue touches only
@@ -119,4 +120,44 @@ func TestRRQuantumFreshPerQueue(t *testing.T) {
 		t.Fatalf("cross-queue quantum = %v, want fresh %v", s.rrSlice, c.params.Timeslice)
 	}
 	_ = k
+}
+
+// TestHPCElideTicksMatchesTicks pins the HPC class's TickHorizon contract:
+// within a TickNoops bound, ElideTicks(t, n) leaves the same RR quantum as
+// n Tick calls — including the empty-queue case, where the quantum drifts
+// negative — for n up to the longest park the kernel arms (1024 ticks).
+func TestHPCElideTicksMatchesTicks(t *testing.T) {
+	for _, disc := range []Discipline{DisciplineRR, DisciplineFIFO} {
+		for _, queued := range []bool{false, true} {
+			for _, n := range []int{1, 2, 3, 17, 100, 1024} {
+				name := fmt.Sprintf("disc=%d queued=%v n=%d", disc, queued, n)
+				state := func() (*hpcRQ, *sched.Task) {
+					k, c := newHPCKernel(t, Config{Discipline: disc})
+					rq := c.rqs[0]
+					if queued {
+						rq.Enqueue(ringTask("q"), false)
+					}
+					cur := ringTask("cur")
+					slice := 3*k.Opts.TickPeriod + 1 // drifts negative when nothing is queued
+					if queued {
+						slice += sim.Time(n) * k.Opts.TickPeriod
+					}
+					rq.rrStateFor(cur).rrSlice = slice
+					return rq, cur
+				}
+				ticked, a := state()
+				elided, b := state()
+				if h := ticked.TickNoops(a); h < n {
+					t.Fatalf("%s: TickNoops = %d", name, h)
+				}
+				for range n {
+					ticked.Tick(a)
+				}
+				elided.ElideTicks(b, n)
+				if qa, qb := lidStateOf(a).rrSlice, lidStateOf(b).rrSlice; qa != qb {
+					t.Fatalf("%s: ticked quantum %d, elided %d", name, qa, qb)
+				}
+			}
+		}
+	}
 }

@@ -216,9 +216,9 @@ func (rq *cfsRQ) Tick(t *Task) {
 // continuously, SumExec at the k-th future tick is exactly SumExec+k·period
 // (integer arithmetic), so the slice-expiry clause is closed-form; the
 // vruntime-lag clause is bounded by iterating the exact per-tick float
-// increment — the same single rounding each elided Tick will apply —
-// against the frozen leftmost vruntime, so the bound is exact, never
-// optimistic.
+// increment — the same single rounding ElideTicks will apply per elided
+// tick — against the frozen leftmost vruntime, so the bound is exact,
+// never optimistic.
 func (rq *cfsRQ) TickNoops(t *Task) int {
 	if rq.tree.Len() == 0 {
 		return tickNoopsForever // nothing to be fair to: Tick never reschedules
@@ -247,6 +247,27 @@ func (rq *cfsRQ) TickNoops(t *Task) int {
 		}
 	}
 	return n
+}
+
+// ElideTicks implements TickHorizon. Each elided Tick adds the same
+// one-period vruntime delta, rounded exactly as vruntimeDelta rounds it,
+// and calls updateMin. vruntime only grows and the leftmost queued task is
+// frozen inside the stretch, so one updateMin with the final vruntime
+// leaves the same min_vruntime as n of them; only the float adds remain
+// per tick, since n rounded adds are not one multiplication.
+func (rq *cfsRQ) ElideTicks(t *Task, n int) {
+	p := rq.k.Opts.TickPeriod
+	if t.SumExec-t.cfs.lastSumExec != sim.Time(n)*p {
+		panic("sched: elided CFS ticks out of step with the accounting")
+	}
+	delta := float64(p) * float64(nice0Weight) / float64(t.cfs.weight)
+	v := t.cfs.vruntime
+	for range n {
+		v += delta
+	}
+	t.cfs.vruntime = v
+	t.cfs.lastSumExec = t.SumExec
+	rq.updateMin(v)
 }
 
 func (rq *cfsRQ) CheckPreempt(curr, woken *Task) bool {

@@ -65,8 +65,9 @@ type ClassRQ interface {
 
 // TickHorizon is an optional ClassRQ extension that enables tickless
 // operation on busy CPUs (NO_HZ_FULL): a class that can bound how long its
-// Tick stays a no-op lets the kernel park the periodic tick and replay the
-// elided instants in closed form. A ClassRQ that does not implement it
+// Tick stays a no-op, and apply the bookkeeping of a run of such ticks in
+// one call, lets the kernel park the periodic tick and settle the elided
+// instants in O(1) per stretch. A ClassRQ that does not implement it
 // simply never has its busy ticks parked.
 type TickHorizon interface {
 	// TickNoops returns how many consecutive future ticks are provably
@@ -74,12 +75,18 @@ type TickHorizon interface {
 	// class queue (membership, weights, discipline) stays unchanged — the
 	// kernel wakes the parked tick on every such local change, so the
 	// bound only needs to hold under frozen queue state. 0 means the very
-	// next tick may act. The elided ticks' bookkeeping (vruntime iterates,
-	// quantum decrements) is still applied, exactly, by calling Tick at
-	// each replayed instant. Implementations may return any sufficiently
+	// next tick may act. Implementations may return any sufficiently
 	// large value for "never": the kernel caps the horizon far below
 	// MaxInt32 (ticklessParkCap).
 	TickNoops(t *Task) int
+
+	// ElideTicks applies the bookkeeping (vruntime, quantum) of n
+	// consecutive elided ticks of t, each spanning exactly one tick
+	// period of t's run time, leaving the same bits n Tick calls would
+	// leave. The ticks lie within a TickNoops bound, so none of them
+	// reschedules, and the kernel has already accounted t's run time
+	// through the last of them.
+	ElideTicks(t *Task, n int)
 }
 
 // tickNoopsForever is a conventional TickNoops return for "no future tick

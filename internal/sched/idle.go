@@ -65,6 +65,9 @@ func (rq *idleRQ) Tick(t *Task) {}
 // unconditionally empty.
 func (rq *idleRQ) TickNoops(t *Task) int { return tickNoopsForever }
 
+// ElideTicks implements TickHorizon: nothing to apply.
+func (rq *idleRQ) ElideTicks(t *Task, n int) {}
+
 func (rq *idleRQ) CheckPreempt(curr, woken *Task) bool { return false }
 
 func (rq *idleRQ) Len() int { return len(rq.queue) }

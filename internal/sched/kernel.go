@@ -13,6 +13,7 @@ package sched
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"hpcsched/internal/power5"
 	"hpcsched/internal/proc"
@@ -32,7 +33,17 @@ type RunQueue struct {
 	reschedFn      func()   // pre-bound scheduling-pass callback (see Resched)
 	switchPenalty  sim.Time // one-shot dispatch delay after a context switch
 	idleSince      sim.Time // when the CPU last went idle (MaxTime when busy)
-	loadAvg        float64  // tick-sampled occupancy, ~100 ms horizon
+
+	// Tick-sampled occupancy average (~100 ms horizon), kept in closed
+	// form: since the grid instant loadAnchor every applied tick sampled
+	// loadS (1 busy, 0 idle), so the value at grid instant loadTicked is
+	// loadEval(loadX0, loadS, ticks from loadAnchor to loadTicked) — see
+	// loadAvg. A run of same-sample ticks only advances loadTicked; a
+	// sample change re-anchors at the current value (applyLoad).
+	loadX0     float64
+	loadS      float64
+	loadAnchor sim.Time
+	loadTicked sim.Time
 
 	// Tickless state. tickEv is the CPU's periodic tick event; gridBase
 	// anchors its cadence (ticks fire at gridBase + k·period). When the
@@ -42,25 +53,24 @@ type RunQueue struct {
 	// state change that could make an earlier tick observable wakes it,
 	// Kernel.tickStateChanged) and busy (tickBusy; a NO_HZ_FULL-style park
 	// over a running task, woken only by local transitions — see
-	// maybeParkBusyTick). loadTicked is the grid instant whose loadAvg
-	// decay has been applied: parked CPUs replay the missed decays
-	// exactly, iterate by iterate, before the value is next read or the
-	// ticker resumes (settleIdleLoad, settleStretch).
+	// maybeParkBusyTick). A stretch is settled in O(1) before the load is
+	// next read or the ticker resumes: its ticks all sample the same
+	// occupancy, so the load needs one applyLoad, and a busy stretch's
+	// class bookkeeping one TickHorizon.ElideTicks (settleStretch).
 	tickEv     *sim.Event
 	gridBase   sim.Time
-	loadTicked sim.Time
 	lastTickAt sim.Time // last accounted grid instant (fired or elided)
 	tickParked bool
 	tickBusy   bool // the parked stretch covers a busy CPU (NO_HZ_FULL)
 
-	// Memoized loadAvg threshold crossings for the park-horizon
-	// computation. Along an uninterrupted decay path the crossing instant
-	// is a constant, so it is computed once per path: the memo is valid
-	// while its generation matches Kernel.loadGen, which bumps on every
+	// Memoized load threshold crossings for the park-horizon computation.
+	// Along an uninterrupted load path the crossing instant is a
+	// constant, so it is computed once per path: the memo is valid while
+	// its generation matches Kernel.loadGen, which bumps on every
 	// current/queue transition (tickStateChanged) — exactly the events
-	// that can change a CPU's decay path.
-	fallsBelowAt  sim.Time // first instant loadAvg ≤ 0.35 on the idle path
-	risesAboveAt  sim.Time // first instant loadAvg ≥ 0.75 on the busy path
+	// that can change a CPU's load path.
+	fallsBelowAt  sim.Time // first instant the load is ≤ 0.35 on the idle path
+	risesAboveAt  sim.Time // first instant the load is ≥ 0.75 on the busy path
 	fallsBelowGen uint64
 	risesAboveGen uint64
 
@@ -291,11 +301,11 @@ func (k *Kernel) Now() sim.Time { return k.Engine.Now() }
 
 // TicksElided returns the number of per-CPU tick instants the tickless
 // machinery (idle and busy) parked over so far, including the still-open
-// parked stretches. Each elided instant's effects — the loadAvg decay for
-// idle stretches; the decay, the running task's accounting and the class
-// Tick for busy (NO_HZ_FULL) stretches; nothing else, by the park proofs —
-// were reproduced in closed form instead of firing an event, so a
-// throughput harness normalising by simulated work should count
+// parked stretches. Each elided instant's effects — the load sample for
+// idle stretches; the load sample, the running task's accounting and the
+// class tick bookkeeping for busy (NO_HZ_FULL) stretches; nothing else, by
+// the park proofs — were reproduced in closed form instead of firing an
+// event, so a throughput harness normalising by simulated work should count
 // Engine.Stats().Fired + TicksElided — that sum is invariant under the
 // tickless optimisations for a fixed workload.
 func (k *Kernel) TicksElided() int64 {
@@ -897,7 +907,7 @@ func (k *Kernel) handleRequest(rq *RunQueue, t *Task, req proc.Request) bool {
 		t.needsResume = true
 		return true
 	case *setNiceReq:
-		// The weight feeds the running task's per-tick vruntime iterate:
+		// The weight feeds the running task's per-tick vruntime delta:
 		// settle a busy-parked stretch under the old weight first.
 		k.wakeBusyParked(rq)
 		t.Nice = r.nice
@@ -1105,6 +1115,7 @@ func (k *Kernel) startTicker(cpu int) {
 	offset := period * sim.Time(cpu) / sim.Time(k.Chip.NumCPUs())
 	rq := k.rqs[cpu]
 	rq.gridBase = k.Engine.Now() + offset
+	rq.loadAnchor = rq.gridBase - period
 	rq.loadTicked = rq.gridBase - period
 	rq.lastTickAt = rq.gridBase - period
 	tick := func() { k.tick(cpu) }
@@ -1121,56 +1132,83 @@ func (rq *RunQueue) gridCeil(t sim.Time) sim.Time {
 	return rq.gridBase + (d+p-1)/p*p
 }
 
+// gridFloor returns the largest tick-grid instant of rq at or before t.
+func (rq *RunQueue) gridFloor(t sim.Time) sim.Time {
+	if g := rq.gridCeil(t); g > t {
+		return g - rq.kernel.Opts.TickPeriod
+	}
+	return t
+}
+
 // loadAlpha is the per-tick decay constant of the occupancy average
-// (tick/100 ms horizon), and loadSnap the convergence snap: once the decay
-// is within 1e-9 of the sample the value is pinned to it. The only
-// threshold consumer (activeBalance, 0.35/0.75) cannot see the snap, and
-// converged CPUs skip the float update entirely.
+// (tick/100 ms horizon), and loadSnap the convergence snap: once the
+// average is within 1e-9 of its sample the value is pinned to it. The only
+// threshold consumer (activeBalance, 0.35/0.75) cannot see the snap.
 const (
 	loadAlpha = 0.01
 	loadSnap  = 1e-9
 )
 
-// decayLoad applies one tick of the occupancy average toward sample.
-func (rq *RunQueue) decayLoad(sample float64) {
-	if rq.loadAvg != sample {
-		rq.loadAvg += loadAlpha * (sample - rq.loadAvg)
-		if d := rq.loadAvg - sample; d < loadSnap && d > -loadSnap {
-			rq.loadAvg = sample
-		}
+// loadPow[k] is (1−loadAlpha)^k, built once by repeated multiplication up
+// to the first power below loadSnap: from there on every |x0−s| ≤ 1 has
+// snapped, so loadEval needs no larger k.
+var loadPow = func() []float64 {
+	pow := []float64{1}
+	for pow[len(pow)-1] >= loadSnap {
+		pow = append(pow, pow[len(pow)-1]*(1-loadAlpha))
 	}
+	return pow
+}()
+
+// loadEval is the occupancy average k grid instants after an anchor of
+// value x0 under the constant sample s: s + (x0−s)·(1−loadAlpha)^k, pinned
+// to s once within loadSnap of it. k = 0 is the anchor itself, exactly.
+// The product is rounded before the add (the explicit conversion forbids
+// a fused multiply-add), so every platform evaluates the same bits.
+func loadEval(x0, s float64, k int64) float64 {
+	if k == 0 {
+		return x0
+	}
+	if k >= int64(len(loadPow)) {
+		return s
+	}
+	d := float64((x0 - s) * loadPow[k])
+	if d < loadSnap && d > -loadSnap {
+		return s
+	}
+	return s + d
 }
 
-// settleIdleLoad replays the idle decay for every tick-grid instant of rq
+// loadAvg returns rq's occupancy average at grid instant loadTicked.
+func (rq *RunQueue) loadAvg() float64 {
+	return loadEval(rq.loadX0, rq.loadS,
+		int64((rq.loadTicked-rq.loadAnchor)/rq.kernel.Opts.TickPeriod))
+}
+
+// applyLoad applies the occupancy sample s at every tick-grid instant of
+// rq in (loadTicked, through], through being on the grid. The fired tick
+// and every settle of a tickless stretch share it: a run of the anchor's
+// own sample only advances loadTicked, and a new sample re-anchors at the
+// value of loadTicked. Both paths therefore anchor at the same instants
+// and read the same bits.
+func (rq *RunQueue) applyLoad(s float64, through sim.Time) {
+	if through <= rq.loadTicked {
+		return
+	}
+	if s != rq.loadS {
+		rq.loadX0, rq.loadS, rq.loadAnchor = rq.loadAvg(), s, rq.loadTicked
+	}
+	rq.loadTicked = through
+}
+
+// settleIdleLoad applies the idle sample to every tick-grid instant of rq
 // in (loadTicked, through]. It is the exactness half of tickless idle: a
-// parked CPU's loadAvg is not decayed by tick events, so every reader —
-// and the resuming tick itself — first replays the skipped iterates, in
-// the same float order the per-tick updates would have used, snap
-// included. Only whole idle stretches are ever replayed (the CPU cannot
-// have run while its tick was parked), so the sample is always 0. Replay
-// terminates early once the value converges: the remaining iterates are
-// no-ops by the snap, exactly as the skipped ticks would have been.
+// parked CPU's load is not sampled by tick events, so every reader — and
+// the resuming tick itself — first settles the skipped instants. Only
+// whole idle stretches are ever settled (the CPU cannot have run while its
+// tick was parked), so the sample is always 0.
 func (k *Kernel) settleIdleLoad(rq *RunQueue, through sim.Time) {
-	// Floor to the grid: only whole tick instants are ever applied.
-	if g := rq.gridCeil(through); g > through {
-		through = g - k.Opts.TickPeriod
-	}
-	if rq.loadTicked >= through {
-		return
-	}
-	p := k.Opts.TickPeriod
-	if rq.loadAvg == 0 {
-		rq.loadTicked = through
-		return
-	}
-	for rq.loadTicked < through {
-		rq.loadTicked += p
-		rq.decayLoad(0)
-		if rq.loadAvg == 0 {
-			rq.loadTicked = through
-			return
-		}
-	}
+	rq.applyLoad(0, rq.gridFloor(through))
 }
 
 // accountAt advances the wall-time accounting of the running task t to the
@@ -1188,73 +1226,51 @@ func (k *Kernel) accountAt(t *Task, at sim.Time) {
 	t.lastUpdate = at
 }
 
-// settleStretch replays the elided tick instants of a parked stretch of rq
+// settleStretch settles the elided tick instants of a parked stretch of rq
 // in (lastTickAt, through] — flooring through to the tick grid — and
-// advances lastTickAt and the machine-wide elided count. Idle stretches
-// replay only the loadAvg decay: nothing else happens on an idle CPU's
-// tick, by the park proof. Busy stretches replay the full tick body —
-// decay at sample 1, the running task's wall-time accounting, the class
-// Tick — instant by instant, in the order the fired ticks would have used,
-// so every float iterate is bit-identical; the park horizon guarantees no
-// replayed Tick requests a reschedule.
+// advances lastTickAt and the machine-wide elided count, in O(1) whatever
+// the stretch's length. Idle stretches settle only the load at sample 0:
+// nothing else happens on an idle CPU's tick, by the park proof. Busy
+// stretches settle the full tick body: the load at sample 1, the running
+// task's wall-time accounting and the class bookkeeping. The first instant
+// runs the real class Tick, whose vruntime delta may span a partial period
+// left by mid-grid accounting; every later instant spans exactly one
+// period, so TickHorizon.ElideTicks applies them together, bit for bit as
+// the fired ticks would have. The park horizon guarantees that none of
+// them requests a reschedule.
 func (k *Kernel) settleStretch(rq *RunQueue, through sim.Time) {
 	p := k.Opts.TickPeriod
-	if g := rq.gridCeil(through); g > through {
-		through = g - p
-	}
+	through = rq.gridFloor(through)
 	if rq.lastTickAt >= through {
 		return
 	}
+	n := (through - rq.lastTickAt) / p
 	if rq.tickBusy {
+		rq.applyLoad(1, through)
 		t := rq.current
 		crq := rq.classRQ[t.classIdx]
-		for rq.lastTickAt < through {
-			g := rq.lastTickAt + p
-			if rq.loadTicked < g {
-				rq.decayLoad(1)
-				rq.loadTicked = g
-			}
-			k.accountAt(t, g)
-			crq.Tick(t)
-			rq.lastTickAt = g
-			k.ticksElided++
+		k.accountAt(t, rq.lastTickAt+p)
+		crq.Tick(t)
+		if n > 1 {
+			k.accountAt(t, through)
+			crq.(TickHorizon).ElideTicks(t, int(n-1))
 		}
-		return
+	} else {
+		rq.applyLoad(0, through)
 	}
-	k.settleIdleLoad(rq, through)
-	k.ticksElided += int64((through - rq.lastTickAt) / p)
+	k.ticksElided += int64(n)
 	rq.lastTickAt = through
 }
 
-// settleBusyLoad replays only the loadAvg decay of a busy-parked stretch,
-// up to the last grid instant at or before through — for readers of a busy
-// CPU's load (activeBalance donor thresholds) that must not otherwise
-// disturb the stretch. The full replay (settleStretch) tolerates a load
-// already decayed ahead of the accounting: each instant's decay is guarded
-// by loadTicked. The CPU ran throughout the stretch, so the sample is
-// always 1 and replay terminates early once the value converges, exactly
-// like settleIdleLoad's zero-convergence.
+// settleBusyLoad settles only the load of a busy-parked stretch, up to the
+// last grid instant at or before through — for readers of a busy CPU's
+// load (activeBalance donor thresholds) that must not otherwise disturb
+// the stretch. The full settle (settleStretch) tolerates a load already
+// applied ahead of the accounting: applyLoad skips instants at or before
+// loadTicked. The CPU ran throughout the stretch, so the sample is 1.
 func (k *Kernel) settleBusyLoad(rq *RunQueue, through sim.Time) {
-	if !rq.tickParked || !rq.tickBusy {
-		return
-	}
-	p := k.Opts.TickPeriod
-	if g := rq.gridCeil(through); g > through {
-		through = g - p
-	}
-	if rq.loadAvg == 1 {
-		if rq.loadTicked < through {
-			rq.loadTicked = through
-		}
-		return
-	}
-	for rq.loadTicked < through {
-		rq.loadTicked += p
-		rq.decayLoad(1)
-		if rq.loadAvg == 1 {
-			rq.loadTicked = through
-			return
-		}
+	if rq.tickParked && rq.tickBusy {
+		rq.applyLoad(1, rq.gridFloor(through))
 	}
 }
 
@@ -1305,9 +1321,9 @@ func (k *Kernel) tick(cpu int) {
 	now := k.Now()
 	period := k.Opts.TickPeriod
 	if now != rq.lastTickAt+period { // on-cadence fast path: nothing elided
-		// First firing after a parked stretch: replay the elided instants
-		// up to the previous grid instant (idle stretches: the loadAvg
-		// decay; busy stretches: the full closed-form tick body).
+		// First firing after a parked stretch: settle the elided instants
+		// up to the previous grid instant (idle stretches: the load;
+		// busy stretches: the full tick body, in closed form).
 		k.settleStretch(rq, now-period)
 	}
 	rq.lastTickAt = now
@@ -1317,10 +1333,7 @@ func (k *Kernel) tick(cpu int) {
 	if rq.current != nil {
 		sample = 1
 	}
-	if rq.loadTicked < now {
-		rq.decayLoad(sample)
-		rq.loadTicked = now
-	}
+	rq.applyLoad(sample, now)
 	if t := rq.current; t != nil {
 		k.account(t)
 		rq.classRQ[t.classIdx].Tick(t)
@@ -1395,8 +1408,9 @@ const ticklessParkCap = 1024
 // A parked CPU's ticks would do exactly four things; each is either shown
 // impossible until the horizon or reproduced exactly:
 //
-//   - the loadAvg decay: replayed lazily, iterate by iterate
-//     (settleIdleLoad), before any read and before the tick resumes;
+//   - the load sample (0): settled lazily in closed form, one applyLoad
+//     per stretch (settleIdleLoad, settleStretch), before any read and
+//     before the tick resumes;
 //   - the idle-balance pull: with tasks queued machine-wide, provably
 //     futile while the negative-result cache holds (no queue mutation —
 //     any mutation wakes the tick — and no hot-rejected candidate cooled:
@@ -1467,17 +1481,18 @@ func (k *Kernel) maybeParkTick(rq *RunQueue, now sim.Time) (sim.Time, bool) {
 // the same task with an unchanged class queue, each is either reproduced
 // exactly at the next observation point or shown impossible:
 //
-//   - the loadAvg decay (sample 1): replayed lazily, iterate by iterate
-//     (settleStretch, settleBusyLoad), before any read and before the tick
-//     resumes;
+//   - the load sample (1): settled lazily in closed form, one applyLoad
+//     per stretch (settleStretch, settleBusyLoad), before any read and
+//     before the tick resumes;
 //   - the running task's accounting: integer wall-time accounting,
-//     advanced in closed form at each replayed grid instant (accountAt);
+//     advanced to the stretch's first instant and then to its last
+//     (accountAt);
 //   - the class Tick (slice expiry, RR quanta, vruntime fairness): the
 //     class itself bounds, via TickHorizon.TickNoops, how many future
 //     ticks are provably free of Resched requests under frozen queue
-//     state; the elided instants' bookkeeping (vruntime iterates, quantum
-//     decrements) is reproduced by calling the real Tick at each replayed
-//     instant;
+//     state; the stretch's first instant runs the real Tick and the rest
+//     of its bookkeeping (vruntime adds, quantum decrements) is applied
+//     by one TickHorizon.ElideTicks;
 //   - the needResched check: Resched pairs every needResched with a
 //     pending scheduling pass (which wakes the park), so a parked stretch
 //     cannot strand one.
@@ -1519,8 +1534,8 @@ func (k *Kernel) maybeParkBusyTick(rq *RunQueue, now sim.Time) (sim.Time, bool) 
 // transition happens anywhere in between (every such transition wakes the
 // parked tick and the bound is recomputed). The bound is exact with
 // respect to the deterministic parts of the state: the frozen idle-since
-// marks and the loadAvg trajectories, which between transitions evolve by
-// a known iterate at known grid instants.
+// marks and the load trajectories, which between transitions follow a
+// known closed form at known grid instants.
 func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, now sim.Time) sim.Time {
 	period := k.Opts.TickPeriod
 	t := rq.idleSince + 4*period
@@ -1569,50 +1584,57 @@ func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, now sim.Time) sim.Time {
 	return t
 }
 
-// loadFallsBelowAt returns the first grid instant of rq at which its
-// loadAvg — decaying toward 0 while the CPU stays idle — is ≤ limit,
-// replaying the exact per-tick iterate from the last applied instant. The
-// crossing is a constant of the decay path, so it is memoized until the
-// next current/queue transition (which may put the CPU on another path).
+// loadFallsBelowAt returns the first grid instant of rq at which its load
+// — decaying toward 0 while the CPU stays idle — is ≤ limit. The crossing
+// is a constant of the load path, so it is memoized until the next
+// current/queue transition (which may put the CPU on another path).
 func (k *Kernel) loadFallsBelowAt(rq *RunQueue, limit float64) sim.Time {
-	if rq.fallsBelowGen == k.loadGen {
-		return rq.fallsBelowAt
+	if rq.fallsBelowGen != k.loadGen {
+		rq.fallsBelowAt = rq.loadCrossAt(0, limit)
+		rq.fallsBelowGen = k.loadGen
 	}
-	v := rq.loadAvg
-	at := rq.loadTicked
-	p := k.Opts.TickPeriod
-	for v > limit {
-		v += loadAlpha * (0 - v)
-		if v < loadSnap && v > -loadSnap {
-			v = 0
-		}
-		at += p
-	}
-	rq.fallsBelowAt = at
-	rq.fallsBelowGen = k.loadGen
-	return at
+	return rq.fallsBelowAt
 }
 
-// loadRisesAboveAt returns the first grid instant of rq at which its
-// loadAvg — rising toward 1 while the CPU stays busy — is ≥ limit,
-// memoized like loadFallsBelowAt.
+// loadRisesAboveAt returns the first grid instant of rq at which its load
+// — rising toward 1 while the CPU stays busy — is ≥ limit, memoized like
+// loadFallsBelowAt.
 func (k *Kernel) loadRisesAboveAt(rq *RunQueue, limit float64) sim.Time {
-	if rq.risesAboveGen == k.loadGen {
-		return rq.risesAboveAt
+	if rq.risesAboveGen != k.loadGen {
+		rq.risesAboveAt = rq.loadCrossAt(1, limit)
+		rq.risesAboveGen = k.loadGen
 	}
-	v := rq.loadAvg
-	at := rq.loadTicked
-	p := k.Opts.TickPeriod
-	for v < limit {
-		v += loadAlpha * (1 - v)
-		if d := v - 1; d < loadSnap && d > -loadSnap {
-			v = 1
+	return rq.risesAboveAt
+}
+
+// loadCrossAt returns the first grid instant at or after loadTicked at
+// which rq's load, sampling s from loadTicked on, has reached limit (≤
+// limit for s = 0, ≥ limit for s = 1), or sim.MaxTime if it never does. It
+// searches the evaluation the later settles will apply — the anchor
+// continues when its sample is s, and re-anchors at loadTicked otherwise —
+// by bisection: the trajectory moves monotonically toward s and is s from
+// the end of loadPow on.
+func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
+	x0, base := rq.loadX0, int64((rq.loadTicked-rq.loadAnchor)/rq.kernel.Opts.TickPeriod)
+	if s != rq.loadS {
+		x0, base = rq.loadAvg(), 0
+	}
+	reached := func(j int) bool {
+		v := loadEval(x0, s, base+int64(j))
+		if s == 0 {
+			return v <= limit
 		}
-		at += p
+		return v >= limit
 	}
-	rq.risesAboveAt = at
-	rq.risesAboveGen = k.loadGen
-	return at
+	if reached(0) {
+		return rq.loadTicked // the common case: a load already settled at s
+	}
+	n := max(int64(len(loadPow))-base, 0) // from j = n on the load is s
+	if !reached(int(n)) {
+		return sim.MaxTime
+	}
+	j := sort.Search(int(n), reached)
+	return rq.loadTicked + sim.Time(j)*rq.kernel.Opts.TickPeriod
 }
 
 // tickStateChanged wakes every idle-parked tick: some queue membership or
@@ -1762,13 +1784,13 @@ func (k *Kernel) activeBalance(rq *RunQueue) *Task {
 	// The receiving core must be idle *on average* too: a core whose
 	// tasks merely wait between phases keeps a high decayed load and must
 	// not attract migrations (cpu_load semantics). Both contexts are idle
-	// here, so their decay may be lagging tickless parks — replay it up to
+	// here, so their load may be lagging tickless parks — settle it up to
 	// the last tick instant before reading. Donor cores are busy, and may
-	// be lagging busy parks instead: their decays are replayed below
+	// be lagging busy parks instead: their loads are settled below
 	// (settleBusyLoad) right before their thresholds are read.
 	k.settleIdleLoad(rq, k.Now())
 	k.settleIdleLoad(sib, k.Now())
-	if rq.loadAvg > 0.35 || sib.loadAvg > 0.35 {
+	if rq.loadAvg() > 0.35 || sib.loadAvg() > 0.35 {
 		return nil
 	}
 	for base := 0; base < len(k.rqs); base += 2 {
@@ -1780,10 +1802,10 @@ func (k *Kernel) activeBalance(rq *RunQueue) *Task {
 			continue
 		}
 		// The donor core must be persistently saturated on both contexts.
-		// Replay any busy-parked decay lag before reading the thresholds.
+		// Settle any busy-parked load lag before reading the thresholds.
 		k.settleBusyLoad(a, k.Now())
 		k.settleBusyLoad(b, k.Now())
-		if a.loadAvg < 0.75 || b.loadAvg < 0.75 {
+		if a.loadAvg() < 0.75 || b.loadAvg() < 0.75 {
 			continue
 		}
 		// Prefer migrating the second context's task (deterministic).

@@ -114,6 +114,14 @@ func (rq *rtRQ) TickNoops(t *Task) int {
 	return int((t.rt.sliceLeft - 1) / rq.k.Opts.TickPeriod)
 }
 
+// ElideTicks implements TickHorizon: n quantum decrements for SCHED_RR,
+// none reaching zero inside a TickNoops bound; nothing for SCHED_FIFO.
+func (rq *rtRQ) ElideTicks(t *Task, n int) {
+	if t.policy == PolicyRR {
+		t.rt.sliceLeft -= sim.Time(n) * rq.k.Opts.TickPeriod
+	}
+}
+
 func (rq *rtRQ) CheckPreempt(curr, woken *Task) bool {
 	return woken.RTPrio > curr.RTPrio
 }

@@ -95,7 +95,7 @@ func ticklessFingerprint(seed uint64, idle, busy bool) string {
 	}
 	for cpu := 0; cpu < k.NumCPUs(); cpu++ {
 		out += fmt.Sprintf("cpu%d cs=%d load=%v\n", cpu, k.RQ(cpu).ContextSwitches,
-			k.RQ(cpu).loadAvg)
+			k.RQ(cpu).loadAvg())
 	}
 	return out
 }
