@@ -63,17 +63,6 @@ type RunQueue struct {
 	tickParked bool
 	tickBusy   bool // the parked stretch covers a busy CPU (NO_HZ_FULL)
 
-	// Memoized load threshold crossings for the park-horizon computation.
-	// Along an uninterrupted load path the crossing instant is a
-	// constant, so it is computed once per path: the memo is valid while
-	// its generation matches Kernel.loadGen, which bumps on every
-	// current/queue transition (tickStateChanged) — exactly the events
-	// that can change a CPU's load path.
-	fallsBelowAt  sim.Time // first instant the load is ≤ 0.35 on the idle path
-	risesAboveAt  sim.Time // first instant the load is ≥ 0.75 on the busy path
-	fallsBelowGen uint64
-	risesAboveGen uint64
-
 	// Negative-result cache for idleBalance: after a pull attempt finds
 	// nothing, the busiest-scan is provably futile until some queue's
 	// membership changes (lbFailGen vs Kernel.queueGen) or a candidate
@@ -158,7 +147,6 @@ type Kernel struct {
 	// changes.
 	parkedTicks int
 	ticksElided int64
-	loadGen     uint64 // versions the per-CPU crossing memos (starts at 1)
 
 	// Migration counters by source (diagnostics). MigHotplug counts tasks
 	// evacuated from a CPU removed by OfflineCore.
@@ -180,7 +168,6 @@ func NewKernel(engine *sim.Engine, chip *power5.Chip, opts Options) *Kernel {
 		Chip:    chip,
 		Opts:    opts.withDefaults(),
 		nextPID: 1,
-		loadGen: 1, // above the zero-value memo generations
 	}
 	k.classes = []Class{newRTClass(), newFairClass(), newIdleClass()}
 	k.buildRQs()
@@ -1104,12 +1091,10 @@ func (k *Kernel) coreSpeedChanged(co *power5.Core, mask int) {
 // startTicker arms the periodic scheduler tick for cpu. Ticks are staggered
 // across CPUs as on real SMP kernels. Each CPU owns exactly one ticker
 // event and one callback for the kernel's lifetime: the callback re-arms
-// the event via Reschedule, so the periodic tick never allocates — and
-// because the cadence is fixed, the event qualifies for the engine's
-// periodic ring, which re-arms in O(1) without touching the timer wheel.
-// On provably idle CPUs the re-arm instead parks the event past its grid
-// (tickless idle — see maybeParkTick), and the event rejoins the ring when
-// the CPU wakes back onto the cadence.
+// the event via Reschedule, so the periodic tick never allocates. On
+// provably unobservable stretches the re-arm instead parks the event past
+// its grid (tickless idle and busy — see maybeParkTick), and a wake-up
+// re-arms it back onto the cadence (wakeTick).
 func (k *Kernel) startTicker(cpu int) {
 	period := k.Opts.TickPeriod
 	offset := period * sim.Time(cpu) / sim.Time(k.Chip.NumCPUs())
@@ -1119,7 +1104,7 @@ func (k *Kernel) startTicker(cpu int) {
 	rq.loadTicked = rq.gridBase - period
 	rq.lastTickAt = rq.gridBase - period
 	tick := func() { k.tick(cpu) }
-	rq.tickEv = k.Engine.SchedulePeriodic(rq.gridBase, period, tick)
+	rq.tickEv = k.Engine.Schedule(rq.gridBase, tick)
 }
 
 // gridCeil returns the smallest tick-grid instant of rq at or after t.
@@ -1315,7 +1300,8 @@ func (k *Kernel) wakeBusyParked(rq *RunQueue) {
 // current class act (timeslices, fairness), honour preemption requests,
 // and rebalance idle CPUs (rebalance_tick). Ticks only ever fire on the
 // CPU's grid; after a parked (tickless) stretch the first firing replays
-// the skipped instants before applying its own.
+// the skipped instants before applying its own. It ends by re-arming its
+// own event with Reschedule: one period out, or parked further ahead.
 func (k *Kernel) tick(cpu int) {
 	rq := k.rqs[cpu]
 	now := k.Now()
@@ -1546,10 +1532,10 @@ func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, now sim.Time) sim.Time {
 	if s := sib.idleSince + 4*period; s > t {
 		t = s
 	}
-	if c := k.loadFallsBelowAt(rq, 0.35); c > t {
+	if c := rq.loadCrossAt(0, 0.35); c > t {
 		t = c
 	}
-	if c := k.loadFallsBelowAt(sib, 0.35); c > t {
+	if c := sib.loadCrossAt(0, 0.35); c > t {
 		t = c
 	}
 	// A donor core must exist: both contexts busy, loadAvg ≥ 0.75 on both
@@ -1567,8 +1553,8 @@ func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, now sim.Time) sim.Time {
 		if !a.current.MayRunOn(rq.CPU) && !b.current.MayRunOn(rq.CPU) {
 			continue
 		}
-		pair := k.loadRisesAboveAt(a, 0.75)
-		if c := k.loadRisesAboveAt(b, 0.75); c > pair {
+		pair := a.loadCrossAt(1, 0.75)
+		if c := b.loadCrossAt(1, 0.75); c > pair {
 			pair = c
 		}
 		if pair < donor {
@@ -1582,29 +1568,6 @@ func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, now sim.Time) sim.Time {
 		t = donor
 	}
 	return t
-}
-
-// loadFallsBelowAt returns the first grid instant of rq at which its load
-// — decaying toward 0 while the CPU stays idle — is ≤ limit. The crossing
-// is a constant of the load path, so it is memoized until the next
-// current/queue transition (which may put the CPU on another path).
-func (k *Kernel) loadFallsBelowAt(rq *RunQueue, limit float64) sim.Time {
-	if rq.fallsBelowGen != k.loadGen {
-		rq.fallsBelowAt = rq.loadCrossAt(0, limit)
-		rq.fallsBelowGen = k.loadGen
-	}
-	return rq.fallsBelowAt
-}
-
-// loadRisesAboveAt returns the first grid instant of rq at which its load
-// — rising toward 1 while the CPU stays busy — is ≥ limit, memoized like
-// loadFallsBelowAt.
-func (k *Kernel) loadRisesAboveAt(rq *RunQueue, limit float64) sim.Time {
-	if rq.risesAboveGen != k.loadGen {
-		rq.risesAboveAt = rq.loadCrossAt(1, limit)
-		rq.risesAboveGen = k.loadGen
-	}
-	return rq.risesAboveAt
 }
 
 // loadCrossAt returns the first grid instant at or after loadTicked at
@@ -1649,7 +1612,6 @@ func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
 // follow-up events (Resched), so the woken tick keeps its place before
 // them — see wakeTick for why that reproduces the never-parked order.
 func (k *Kernel) tickStateChanged() {
-	k.loadGen++
 	if k.parkedTicks == 0 {
 		return
 	}

@@ -47,8 +47,10 @@ func TestWorkDoneMonotoneAndSettled(t *testing.T) {
 	k.Watch(b)
 
 	var samples []float64
-	probe := e.SchedulePeriodic(sim.Millisecond, sim.Millisecond, func() {
+	var probe *sim.Event
+	probe = e.Schedule(sim.Millisecond, func() {
 		samples = append(samples, a.WorkDone(e.Now()))
+		e.Reschedule(probe, e.Now()+sim.Millisecond)
 	})
 	k.RunUntilWatchedExit(10 * sim.Second)
 	e.Cancel(probe)

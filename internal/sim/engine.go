@@ -17,15 +17,13 @@
 // unrelated recycled event may be cancelled in its place. Every holder in
 // this repository follows that discipline (see sched.Task.finishEv).
 //
-// The pending-event store is tiered: a dedicated periodic ring pops and
-// re-arms the fixed-cadence events (the per-CPU scheduler ticks, armed via
-// SchedulePeriodic — the large majority of all events) in O(1) with no
-// comparisons; a hierarchical timer wheel (wheel.go) absorbs every other
-// deadline within ~17 s of the clock — RR re-arms through Reschedule,
-// burst completions, message deliveries, same-instant scheduling passes —
-// at O(1) per operation; and a flat 4-ary indexed min-heap holds the rare
-// far-future deadlines. Step/Run take the global (at, seq) minimum across
-// the tiers, so firing order is identical to a single heap.
+// The pending-event store has two tiers: a hierarchical timer wheel
+// (wheel.go) absorbs every deadline within ~17 s of the clock — scheduler
+// ticks and RR re-arms through Reschedule, burst completions, message
+// deliveries, same-instant scheduling passes — at O(1) per operation, and
+// a flat 4-ary indexed min-heap holds the rare far-future deadlines.
+// Step/Run take the global (at, seq) minimum across the two, so firing
+// order is identical to a single heap.
 package sim
 
 import (
@@ -67,18 +65,14 @@ type Event struct {
 	at       Time
 	seq      uint64
 	schedAt  Time // instant the event was (re)armed — see FiringScheduledAt
-	period   Time // fixed re-arm cadence (SchedulePeriodic), 0 = aperiodic
 	do       func()
 	index    int32 // position in the overflow heap, -1 when not in the heap
-	slot     int32 // level<<8|slot in the timer wheel; -1 none; ringSlot = periodic ring
+	slot     int32 // level<<8|slot in the timer wheel, -1 when not in the wheel
 	canceled bool
 	pooled   bool   // on the free list (dead until reacquired)
 	next     *Event // free-list link while pooled, slot-list link while wheeled
 	prev     *Event // slot-list back link (O(1) unlink for Cancel/Reschedule)
 }
-
-// ringSlot marks an event as resident in the periodic ring.
-const ringSlot int32 = -2
 
 // At returns the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
@@ -87,8 +81,8 @@ func (e *Event) At() Time { return e.at }
 // until the engine recycles the event for a later Schedule.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// queued reports whether the event sits in any tier (heap, wheel or ring).
-func (e *Event) queued() bool { return e.index >= 0 || e.slot != -1 }
+// queued reports whether the event sits in either tier (wheel or heap).
+func (e *Event) queued() bool { return e.index >= 0 || e.slot >= 0 }
 
 // initialQueueCapacity pre-sizes the overflow heap so simulations with many
 // far-future deadlines never grow it; poolChunk is how many events each pool
@@ -106,21 +100,12 @@ const (
 type Engine struct {
 	now      Time
 	wheel    timerWheel
-	ring     periodicRing // fixed-cadence events (SchedulePeriodic)
-	heap     eventQueue   // far-future overflow (beyond the wheel horizon)
+	heap     eventQueue // far-future overflow (beyond the wheel horizon)
 	seq      uint64
 	rng      *RNG
 	stopped  bool
 	firingAt Time   // schedAt of the event whose callback is running
 	free     *Event // event free list (recycled events)
-
-	// ringFired is the periodic-ring head whose callback is currently
-	// running. The fused pop/re-arm path (fire) leaves the firing head in
-	// place instead of dequeuing it: the overwhelmingly common in-cadence
-	// Reschedule from the callback then rotates it head-to-tail in one
-	// step, and only a Cancel, an off-cadence re-arm or a callback that
-	// never re-arms pays the remove.
-	ringFired *Event
 
 	// Interrupt polling (SetInterrupt): intrFn is consulted every intrEvery
 	// fired events from inside Run's loop. nil means no polling — the hot
@@ -166,7 +151,6 @@ func (e *Engine) acquire() *Event {
 	ev.canceled = false
 	ev.index = -1
 	ev.slot = -1
-	ev.period = 0
 	return ev
 }
 
@@ -207,12 +191,9 @@ func (e *Engine) enqueue(ev *Event) {
 
 // dequeue removes a pending event from whichever tier holds it.
 func (e *Engine) dequeue(ev *Event) {
-	switch {
-	case ev.slot >= 0:
+	if ev.slot >= 0 {
 		e.wheel.remove(ev)
-	case ev.slot == ringSlot:
-		e.ring.remove(ev)
-	default:
+	} else {
 		e.heap.remove(int(ev.index))
 	}
 }
@@ -247,47 +228,16 @@ func (e *Engine) After(d Time, do func()) *Event {
 	return e.Schedule(e.now+d, do)
 }
 
-// SchedulePeriodic registers a fixed-cadence event: do first runs at at and
-// is expected to re-arm the event from its own callback via
-// Reschedule(ev, Now()+period) every time. Such events live in a dedicated
-// ring that pops and re-arms in O(1) — no wheel or heap traffic at all —
-// which matters because the per-CPU scheduler ticks they serve are the
-// large majority of all simulation events. Firing order remains the global
-// (at, seq) order, exactly as if Schedule had been used.
+// SchedulePeriodic is Schedule for an event its callback re-arms every
+// period via Reschedule.
 //
-// The ring holds one period at a time, and joining it requires the arm time
-// to be at or after the ring's last deadline (true for tick ladders armed
-// in offset order). An event that does not qualify silently degrades to a
-// normal wheel/heap event. A ring member later re-armed off-cadence stays
-// ring-resident by sorted insert while its deadline is within one period,
-// and otherwise moves to the wheel/heap keeping its period — a parked
-// tickless tick — so an on-grid re-arm can take it back into the ring.
-// Either way SchedulePeriodic is an optimisation hint, never a semantic
-// change: firing order is always the global (at, seq) order.
+// Deprecated: the engine no longer keeps a tier for fixed-cadence events;
+// use Schedule. Only the period check remains.
 func (e *Engine) SchedulePeriodic(at, period Time, do func()) *Event {
-	if do == nil {
-		panic("sim: SchedulePeriodic with nil callback")
-	}
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: SchedulePeriodic with period %v", period))
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling in the past: at=%v now=%v", at, e.now))
-	}
-	e.seq++
-	e.scheduled++
-	ev := e.acquire()
-	ev.at = at
-	ev.seq = e.seq
-	ev.schedAt = e.now
-	ev.do = do
-	if e.ring.accepts(at, period) {
-		ev.period = period
-		e.ring.push(ev)
-	} else {
-		e.enqueue(ev)
-	}
-	return ev
+	return e.Schedule(at, do)
 }
 
 // Reschedule re-arms ev — keeping its callback — to fire at at, as if it
@@ -313,57 +263,6 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 	}
 	e.seq++
 	e.scheduled++
-	if ev.period != 0 {
-		// Periodic event: the expected in-cadence re-arm (from its own
-		// callback, to exactly one period out) goes back into the ring tail
-		// in O(1). An off-cadence re-arm — a tickless CPU parking its tick
-		// far ahead, or waking it back onto the grid — keeps the period:
-		// the event leaves for the wheel/heap while parked and rejoins the
-		// ring by sorted insert once its deadline fits the cadence again.
-		if ev == e.ringFired {
-			// Fused path: the event is still the resident ring head (fire
-			// left it in place). The in-cadence re-arm becomes a single
-			// head-to-tail rotation — no remove, no push. The new deadline
-			// is one period past the old head deadline, which is ≥ every
-			// resident deadline (residents re-arm to lastFire+period and
-			// lastFire ≤ now), so sortedness holds; the tail check below is
-			// belt and braces for mixed-period rings.
-			e.ringFired = nil
-			if at == e.now+ev.period && e.ring.period == ev.period &&
-				at >= e.ring.tail().at {
-				ev.at = at
-				ev.seq = e.seq
-				ev.schedAt = e.now
-				e.ring.rotateHead(ev)
-				return
-			}
-			e.ring.remove(ev)
-		}
-		if ev.slot == ringSlot {
-			e.ring.remove(ev)
-		}
-		ev.schedAt = e.now
-		if at == e.now+ev.period && e.ring.accepts(at, ev.period) {
-			if ev.queued() {
-				e.dequeue(ev)
-			}
-			ev.at = at
-			ev.seq = e.seq
-			e.ring.push(ev)
-			return
-		}
-		if at-e.now <= ev.period && e.ring.acceptsInsert(ev.period) {
-			if ev.queued() {
-				e.dequeue(ev)
-			}
-			ev.at = at
-			ev.seq = e.seq
-			e.ring.insert(ev)
-			return
-		}
-		// Deadline beyond one period (a parked stretch): hold the event in
-		// the ordinary tiers until it is re-armed back onto the grid.
-	}
 	if ev.queued() {
 		e.dequeue(ev)
 	}
@@ -376,14 +275,14 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 // Cancel removes a pending event. Returns true if the event was pending and
 // is now guaranteed not to fire. The event is recycled: the caller must
 // clear its reference.
+//
+// An event whose callback is running is no longer pending — fire dequeues
+// it first — so cancelling it from its own callback returns false and does
+// nothing: the event dies when the callback returns unless the callback
+// re-arms it with Reschedule (and a re-armed event is pending again).
 func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.canceled || !ev.queued() {
 		return false
-	}
-	if ev == e.ringFired {
-		// Cancelled from its own callback: the fused fire path must not
-		// touch it again (it is dequeued and recycled right here).
-		e.ringFired = nil
 	}
 	ev.canceled = true
 	e.dequeue(ev)
@@ -393,19 +292,13 @@ func (e *Engine) Cancel(ev *Event) bool {
 }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.wheel.count + e.ring.n + len(e.heap.items) }
+func (e *Engine) Pending() int { return e.wheel.count + len(e.heap.items) }
 
-// findMin returns the earliest pending event across all three tiers —
-// wheel levels are strictly ordered among themselves and the ring is
-// sorted, so this is one wheel lookup plus one (at, seq) comparison each
-// against the ring head and the heap top — or nil.
+// findMin returns the earliest pending event across both tiers — wheel
+// levels are strictly ordered among themselves, so this is one wheel
+// lookup plus one (at, seq) comparison against the heap top — or nil.
 func (e *Engine) findMin() *Event {
 	ev := e.wheel.min()
-	if e.ring.n > 0 {
-		if head := e.ring.head(); ev == nil || eventLess(head, ev) {
-			ev = head
-		}
-	}
 	if len(e.heap.items) > 0 {
 		top := e.heap.items[0].ev
 		if ev == nil || eventLess(top, ev) {
@@ -425,43 +318,20 @@ func (e *Engine) PeekNext() Time {
 }
 
 // NextEventAt reports the earliest instant at which this engine can next
-// act: the minimum pending deadline across all three tiers (periodic-ring
-// head, wheel memoized minimum, heap top), or MaxTime when the engine is
-// drained. It is the conservative-lookahead probe for PDES pacing
+// act: the minimum pending deadline across both tiers (wheel memoized
+// minimum, heap top), or MaxTime when the engine is drained. It is the conservative-lookahead probe for PDES pacing
 // (internal/cluster): between events every rank body is parked in a
 // blocking call with its deferred-step queue flushed, so any future
 // cross-engine send must originate from an event at or after this
-// instant. Cost is O(1) — the wheel minimum is memoized, the ring head
-// and heap top are direct loads.
+// instant. Cost is O(1) — the wheel minimum is memoized and the heap top
+// is a direct load.
 func (e *Engine) NextEventAt() Time { return e.PeekNext() }
 
 // fire removes ev (the global minimum) from its tier, advances the clock
 // and the wheel reference to its deadline, and runs the callback.
-//
-// A periodic-ring head is not dequeued at all: it stays resident while its
-// callback runs (tracked via ringFired), so the expected in-cadence
-// Reschedule fuses pop and re-arm into one head-to-tail rotation. Cancel
-// and off-cadence re-arms clear ringFired and fall back to the ordinary
-// remove paths; a callback that does neither leaves the event to be
-// removed and recycled here.
 func (e *Engine) fire(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
-	}
-	if ev.slot == ringSlot {
-		e.ringFired = ev
-		e.wheel.advance(ev.at)
-		e.now = ev.at
-		e.fired++
-		e.firingAt = ev.schedAt
-		ev.do()
-		if e.ringFired == ev {
-			// Neither re-armed nor cancelled: the event dies.
-			e.ringFired = nil
-			e.ring.remove(ev)
-			e.release(ev)
-		}
-		return
 	}
 	e.dequeue(ev)
 	e.wheel.advance(ev.at)
@@ -590,124 +460,6 @@ func (e *Engine) Stats() Stats {
 		Recycled:  e.recycled,
 		Pending:   e.Pending(),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Periodic ring (fixed-cadence tier)
-// ---------------------------------------------------------------------------
-
-// periodicRing holds the strictly-periodic events (SchedulePeriodic). All
-// residents share one period and are re-armed from their own callbacks to
-// exactly one period after their firing instant, so a re-arm's deadline is
-// always ≥ every resident deadline (d_i = lastFire_i + period and
-// lastFire_i ≤ the instant firing now): pushes append at the tail and the
-// ring stays (at, seq)-sorted with no comparisons at all. Equal deadlines
-// (tick ladders of cluster nodes sharing an engine) are appended in seq
-// order, because pops — and therefore re-arms — happen in seq order.
-type periodicRing struct {
-	period Time
-	evs    []*Event // circular buffer, capacity a power of two
-	first  int      // index of the head element
-	n      int
-}
-
-// accepts reports whether an event armed for at with the given period may
-// join the ring without breaking its sortedness: the ring is empty (it
-// adopts the period), or the period matches and at is not before the tail
-// deadline.
-func (r *periodicRing) accepts(at Time, period Time) bool {
-	if r.n == 0 {
-		return true
-	}
-	return r.period == period && at >= r.tail().at
-}
-
-func (r *periodicRing) head() *Event { return r.evs[r.first] }
-
-func (r *periodicRing) tail() *Event {
-	return r.evs[(r.first+r.n-1)&(len(r.evs)-1)]
-}
-
-// push appends ev (caller has checked accepts).
-func (r *periodicRing) push(ev *Event) {
-	if r.n == len(r.evs) {
-		grown := make([]*Event, max(8, 2*len(r.evs)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.evs[(r.first+i)&(len(r.evs)-1)]
-		}
-		r.evs = grown
-		r.first = 0
-	}
-	if r.n == 0 {
-		r.period = ev.period
-	}
-	r.evs[(r.first+r.n)&(len(r.evs)-1)] = ev
-	r.n++
-	ev.slot = ringSlot
-}
-
-// acceptsInsert reports whether an event with the given period may rejoin
-// the ring at an arbitrary sorted position (a tickless CPU's tick waking
-// back onto the grid): only the period must match — sortedness is restored
-// by insert itself.
-func (r *periodicRing) acceptsInsert(period Time) bool {
-	return r.n == 0 || r.period == period
-}
-
-// insert places ev at its (at, seq) position, shifting later members one
-// slot towards the tail. The shift is bounded by the ring population — one
-// entry per simulated CPU — and only runs on tickless wake-ups, never on
-// the steady-state pop/re-arm path.
-func (r *periodicRing) insert(ev *Event) {
-	r.push(ev) // makes room (and handles growth); now sift it into place
-	mask := len(r.evs) - 1
-	i := r.n - 1
-	for i > 0 {
-		prev := r.evs[(r.first+i-1)&mask]
-		if !eventLess(ev, prev) {
-			break
-		}
-		r.evs[(r.first+i)&mask] = prev
-		i--
-	}
-	r.evs[(r.first+i)&mask] = ev
-}
-
-// rotateHead moves the head to the tail in place — the fused pop/re-arm of
-// the firing ring head. The caller has already updated ev's (at, seq) to
-// one period past the old head deadline, which is ≥ every resident
-// deadline, so sortedness is preserved; n and the event's ring residency
-// (slot == ringSlot) never change.
-func (r *periodicRing) rotateHead(ev *Event) {
-	mask := len(r.evs) - 1
-	r.evs[r.first] = nil
-	r.first = (r.first + 1) & mask
-	r.evs[(r.first+r.n-1)&mask] = ev
-}
-
-// remove unlinks ev: O(1) for the head (the pop path — the fired event is
-// always the ring minimum), a shift for the rare Cancel/demotion mid-ring.
-func (r *periodicRing) remove(ev *Event) {
-	mask := len(r.evs) - 1
-	if r.evs[r.first] == ev {
-		r.evs[r.first] = nil
-		r.first = (r.first + 1) & mask
-		r.n--
-		ev.slot = -1
-		return
-	}
-	for i := 1; i < r.n; i++ {
-		if r.evs[(r.first+i)&mask] == ev {
-			for j := i; j < r.n-1; j++ {
-				r.evs[(r.first+j)&mask] = r.evs[(r.first+j+1)&mask]
-			}
-			r.evs[(r.first+r.n-1)&mask] = nil
-			r.n--
-			ev.slot = -1
-			return
-		}
-	}
-	panic("sim: periodic ring remove of non-member")
 }
 
 // ---------------------------------------------------------------------------

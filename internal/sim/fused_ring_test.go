@@ -8,17 +8,14 @@ import (
 )
 
 // fusedRingTrace runs a randomized ticker workload — several same-period
-// staggered periodic events that mostly re-arm in cadence (the fused
-// head-to-tail rotation), occasionally park far ahead, die, or get woken
-// back onto their grid by aperiodic noise events — and renders the full
-// firing sequence. With useRing the tickers go through SchedulePeriodic +
-// Reschedule (ring + fused rotate); without it, the same logical schedule
-// uses plain Schedule with a fresh event per arm (wheel/heap only). The
-// engine contract says the ring is an optimisation hint, never a semantic:
-// both traces must be byte-identical. Sequence-number allocation matches
-// across the variants because every arm — Schedule or Reschedule — consumes
-// exactly one.
-func fusedRingTrace(seed uint64, useRing bool) string {
+// staggered tickers that mostly re-arm in cadence, occasionally park far
+// ahead, die, or get woken back onto their grid by aperiodic noise events
+// — and renders the full firing sequence. With rearm each ticker is one
+// event re-armed through Reschedule; without it, the same logical schedule
+// uses a fresh Schedule per arm. Both traces must be byte-identical:
+// sequence-number allocation matches across the variants because every arm
+// — Schedule or Reschedule — consumes exactly one.
+func fusedRingTrace(seed uint64, rearm bool) string {
 	e := NewEngine(seed)
 	rng := NewRNG(seed)
 	var buf strings.Builder
@@ -43,7 +40,7 @@ func fusedRingTrace(seed uint64, useRing bool) string {
 			var next Time
 			switch r := decide.Intn(10); {
 			case r < 7:
-				next = e.Now() + period // in cadence: the fused rotation
+				next = e.Now() + period // in cadence
 			case r < 9:
 				next = e.Now() + Time(decide.Intn(4)+2)*period // park
 				parkedUntil[id] = next
@@ -51,22 +48,18 @@ func fusedRingTrace(seed uint64, useRing bool) string {
 				alive[id] = false // die: no re-arm
 				return
 			}
-			if useRing {
+			if rearm {
 				e.Reschedule(evs[id], next)
 			} else {
 				evs[id] = e.Schedule(next, cb)
 			}
 		}
-		if useRing {
-			evs[id] = e.SchedulePeriodic(offsets[id], period, cb)
-		} else {
-			evs[id] = e.Schedule(offsets[id], cb)
-		}
+		evs[id] = e.Schedule(offsets[id], cb)
 	}
 
 	// Aperiodic noise, deliberately including instants exactly on ticker
-	// grids (same-instant ordering against the rotated head) and wakes of
-	// parked tickers (ring rejoin by sorted insert vs plain re-arm).
+	// grids (same-instant ordering against a re-armed ticker) and wakes of
+	// parked tickers (Reschedule of a pending event vs a fresh arm).
 	nNoise := rng.Intn(12) + 6
 	for j := 0; j < nNoise; j++ {
 		id := j
@@ -98,18 +91,18 @@ func fusedRingTrace(seed uint64, useRing bool) string {
 	return buf.String()
 }
 
-// TestFusedRingEquivalence pins that the fused pop/re-arm rotation (and the
-// park/rejoin paths around it) is invisible: the ring-backed firing
-// sequence is byte-identical to the same logical schedule run through the
-// ordinary tiers, across randomized cadences, offsets, parks, wakes and
-// same-instant noise.
+// TestFusedRingEquivalence pins that re-arming one event is invisible: the
+// firing sequence of tickers re-armed through Reschedule (in cadence,
+// parked, woken) is byte-identical to the same logical schedule with a
+// fresh Schedule per arm, across randomized cadences, offsets, parks, wakes
+// and same-instant noise.
 func TestFusedRingEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
-		ring := fusedRingTrace(seed, true)
-		plain := fusedRingTrace(seed, false)
-		if ring != plain {
-			t.Logf("seed %d diverged:\n--- ring ---\n%s--- plain ---\n%s",
-				seed, ring, plain)
+		rearmed := fusedRingTrace(seed, true)
+		fresh := fusedRingTrace(seed, false)
+		if rearmed != fresh {
+			t.Logf("seed %d diverged:\n--- rearmed ---\n%s--- fresh ---\n%s",
+				seed, rearmed, fresh)
 			return false
 		}
 		return true
@@ -119,7 +112,7 @@ func TestFusedRingEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusedRearmSameInstantOrder pins the rotation's sequence semantics: an
+// TestFusedRearmSameInstantOrder pins the re-arm's sequence semantics: an
 // in-cadence re-arm orders the next firing exactly as a fresh Schedule
 // would — after events armed for that instant before the re-arm ran, before
 // events armed after it.
@@ -128,7 +121,7 @@ func TestFusedRearmSameInstantOrder(t *testing.T) {
 	var order []string
 	const p = Time(100)
 	var tick *Event
-	tick = e.SchedulePeriodic(p, p, func() {
+	tick = e.Schedule(p, func() {
 		order = append(order, fmt.Sprintf("tick@%d", e.Now()))
 		if e.Now() == p {
 			// Armed before the re-arm below: must precede the tick at 2p.
@@ -149,51 +142,78 @@ func TestFusedRearmSameInstantOrder(t *testing.T) {
 	}
 }
 
-// TestFusedFireCancelSelf pins the Cancel-from-own-callback corner of the
-// fused path: the resident head is dequeued and recycled by Cancel, and the
-// fire epilogue must not remove or release it a second time.
+// TestFusedFireCancelSelf pins Cancel's one rule for a firing event: it is
+// no longer pending, so cancelling it from its own callback returns false
+// and it dies when the callback returns — released exactly once. A
+// callback that re-arms first makes it pending again, and then Cancel
+// returns true and releases it, again exactly once. A bystander keeps
+// firing throughout.
 func TestFusedFireCancelSelf(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	var tick *Event
-	tick = e.SchedulePeriodic(10, 10, func() {
+	tick = e.Schedule(10, func() {
 		fired++
 		if fired == 3 {
-			if !e.Cancel(tick) {
-				t.Fatal("self-cancel of the firing ring head reported not pending")
+			if e.Cancel(tick) {
+				t.Fatal("self-cancel of a firing event reported it pending")
 			}
 			return
 		}
 		e.Reschedule(tick, e.Now()+10)
 	})
-	// A bystander periodic event proves the ring stays intact afterwards.
+	rearmed := 0
+	var late *Event
+	late = e.Schedule(12, func() {
+		rearmed++
+		e.Reschedule(late, e.Now()+10)
+		if !e.Cancel(late) {
+			t.Fatal("cancel of a re-armed firing event reported it not pending")
+		}
+	})
 	other := 0
 	var ev *Event
-	ev = e.SchedulePeriodic(15, 10, func() {
+	ev = e.Schedule(15, func() {
 		other++
 		if other < 6 {
 			e.Reschedule(ev, e.Now()+10)
 		}
 	})
 	e.RunUntilIdle()
-	if fired != 3 || other != 6 {
-		t.Fatalf("fired = %d (want 3), other = %d (want 6)", fired, other)
+	if fired != 3 || rearmed != 1 || other != 6 {
+		t.Fatalf("fired = %d (want 3), rearmed = %d (want 1), other = %d (want 6)",
+			fired, rearmed, other)
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("%d events still pending after self-cancel", e.Pending())
 	}
+	st := e.Stats()
+	if st.Recycled != 3 || st.Cancelled != 1 {
+		t.Fatalf("recycled = %d (want 3: once per event), cancelled = %d (want 1)",
+			st.Recycled, st.Cancelled)
+	}
+	// A double release would put an event on the free list twice, and two
+	// fresh events would then share it.
+	seen := map[*Event]bool{}
+	for i := 0; i < 4; i++ {
+		fresh := e.Schedule(e.Now(), func() {})
+		if seen[fresh] {
+			t.Fatal("an event was released twice: the pool handed it out again")
+		}
+		seen[fresh] = true
+	}
 }
 
-// TestFusedFireNoRearmDies pins the third fused outcome: a ring head whose
-// callback neither re-arms nor cancels is removed and recycled by the fire
-// epilogue, leaving the ring consistent for the residents behind it.
+// TestFusedFireNoRearmDies pins the third outcome: an event whose callback
+// neither re-arms nor cancels is recycled after it fires, and the peers
+// scheduled behind it fire on.
 func TestFusedFireNoRearmDies(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.SchedulePeriodic(10, 10, func() { order = append(order, "once") })
+	e.Schedule(10, func() { order = append(order, "once") })
 	var ev *Event
 	n := 0
-	ev = e.SchedulePeriodic(12, 10, func() {
+	ev = e.Schedule(12, func() {
 		n++
 		order = append(order, fmt.Sprintf("peer%d", n))
 		if n < 3 {

@@ -317,28 +317,25 @@ func TestWheelPendingCount(t *testing.T) {
 	}
 }
 
-// TestPeriodicRingOrdering: ring-resident periodic events interleave with
-// ordinary wheel/heap events in exact (at, seq) order, including ties at
-// the same instant.
+// TestPeriodicRingOrdering: a tick re-armed from its own callback
+// interleaves with ordinary events in exact (at, seq) order, including
+// ties at the same instant.
 func TestPeriodicRingOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	const period = 1000
 	var tick *Event
 	ticks := 0
-	tick = e.SchedulePeriodic(period, period, func() {
+	tick = e.Schedule(period, func() {
 		order = append(order, "tick")
 		ticks++
 		if ticks < 3 {
 			e.Reschedule(tick, e.Now()+period)
 		}
 	})
-	if tick.slot != ringSlot {
-		t.Fatalf("periodic event not in the ring: slot=%d", tick.slot)
-	}
-	// A wheel event at the same instant as the second tick: the tick's
-	// re-arm draws a fresh (larger) seq at fire time, so the wheel event —
-	// scheduled earlier — wins the tie, exactly as with a flat heap.
+	// An event at the same instant as the second tick: the tick's re-arm
+	// draws a fresh (larger) seq at fire time, so this event — scheduled
+	// earlier — wins the tie, exactly as with a flat heap.
 	e.Schedule(2*period, func() { order = append(order, "wheel") })
 	e.Schedule(period/2, func() { order = append(order, "early") })
 	e.RunUntilIdle()
@@ -353,84 +350,57 @@ func TestPeriodicRingOrdering(t *testing.T) {
 	}
 }
 
-// TestPeriodicRingOffCadence: an off-cadence re-arm within one period
-// stays ring-resident (sorted insert), an arm that cannot join the ring
-// degrades to an ordinary event, and a re-arm beyond one period — a
-// tickless park — leaves the ring for the ordinary tiers while keeping its
-// period, so a later on-grid wake can rejoin the ring. Firing order is the
-// global (at, seq) order throughout.
+// TestPeriodicRingOffCadence: a tick re-armed off its cadence fires at the
+// new deadline, and a second ladder with another period interleaves in
+// the global (at, seq) order.
 func TestPeriodicRingOffCadence(t *testing.T) {
 	e := NewEngine(1)
 	evFired, otherFired := 0, 0
 	var ev *Event
-	ev = e.SchedulePeriodic(1000, 1000, func() {
+	ev = e.Schedule(1000, func() {
 		evFired++
 		if evFired == 1 {
 			e.Reschedule(ev, e.Now()+777) // off-cadence, within one period
 		}
 	})
-	// A second ladder with a different period cannot join the ring.
-	other := e.SchedulePeriodic(500, 500, func() { otherFired++ })
-	if other.slot == ringSlot || other.period != 0 {
-		t.Fatalf("mismatched-period event joined the ring: slot=%d period=%d",
-			other.slot, other.period)
-	}
+	e.Schedule(500, func() { otherFired++ })
 	e.RunUntilIdle()
 	if evFired != 2 || otherFired != 1 {
 		t.Fatalf("fired ev=%d other=%d, want 2 and 1", evFired, otherFired)
-	}
-	if ev.period == 0 {
-		t.Fatal("off-cadence re-arm within one period demoted the event")
 	}
 	if e.Now() != 1777 {
 		t.Fatalf("Now = %v, want 1777", e.Now())
 	}
 }
 
-// TestPeriodicRingParkAndRejoin drives the tickless lifecycle: a ring
-// member re-armed far ahead moves to the ordinary tiers (the parked
-// stretch), keeps its period, and a wake re-arm back within a period of a
-// live ring sorted-inserts it among the other ladders — including ahead of
-// the current head.
+// TestPeriodicRingParkAndRejoin drives the tickless lifecycle: a tick
+// re-armed far ahead (the parked stretch) and woken back onto its grid
+// from an unrelated event fires ahead of a staggered peer whose next
+// deadline is later.
 func TestPeriodicRingParkAndRejoin(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
 	var parked *Event
 	fires := 0
-	parked = e.SchedulePeriodic(1000, 1000, func() {
+	parked = e.Schedule(1000, func() {
 		order = append(order, 0)
 		fires++
 		if fires == 1 {
 			e.Reschedule(parked, e.Now()+10*1000) // park: 10 periods ahead
-			if parked.slot == ringSlot {
-				t.Fatal("parked event still in the ring")
-			}
-			if parked.period == 0 {
-				t.Fatal("parking demoted the event")
-			}
 		} else {
 			e.Reschedule(parked, e.Now()+1000)
 		}
 	})
 	var mate *Event
-	mate = e.SchedulePeriodic(1500, 1000, func() {
+	mate = e.Schedule(1500, func() {
 		order = append(order, 1)
 		if e.Now() < 8000 {
 			e.Reschedule(mate, e.Now()+1000)
 		}
 	})
-	// Wake the parked ticker early from an unrelated event: its next
-	// deadline (4300) precedes the resident member's (4500), so the rejoin
-	// must sorted-insert it ahead of the current head.
-	e.Schedule(4200, func() {
-		e.Reschedule(parked, 4300)
-		if parked.slot != ringSlot {
-			t.Fatal("woken ticker did not rejoin the ring")
-		}
-		if e.ring.head() != parked {
-			t.Fatal("woken ticker did not sort ahead of the resident member")
-		}
-	})
+	// Wake the parked ticker early: its next deadline (4300) precedes the
+	// peer's (4500).
+	e.Schedule(4200, func() { e.Reschedule(parked, 4300) })
 	e.Run(9100)
 	want := []int{0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 	if len(order) != len(want) {
@@ -443,18 +413,16 @@ func TestPeriodicRingParkAndRejoin(t *testing.T) {
 	}
 }
 
-// TestPeriodicRingCancel removes ring members from head and middle.
+// TestPeriodicRingCancel cancels staggered ticks at the head and in the
+// middle of their ladder.
 func TestPeriodicRingCancel(t *testing.T) {
 	e := NewEngine(1)
 	var evs []*Event
 	for i := 0; i < 4; i++ {
-		evs = append(evs, e.SchedulePeriodic(Time(1000+i*250), 1000, func() {}))
-	}
-	if e.ring.n != 4 {
-		t.Fatalf("ring population = %d, want 4", e.ring.n)
+		evs = append(evs, e.Schedule(Time(1000+i*250), func() {}))
 	}
 	if !e.Cancel(evs[2]) || !e.Cancel(evs[0]) { // middle, then head
-		t.Fatal("cancel of ring members failed")
+		t.Fatal("cancel of pending ticks failed")
 	}
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
