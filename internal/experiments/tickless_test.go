@@ -77,3 +77,31 @@ func TestTicklessWorkloadEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelStatsMetbenchUniform pins the scheduler's work counters of one
+// fixed run exactly, as TestBTMZWindowCount pins the cluster's windows: a
+// change to how ticks park, wake and get reviewed, or to when a balance
+// pass scans, shows up here as a different count even when the timeline
+// (which the goldens pin) is intact. Under Uniform every queued task is a
+// pinned noise daemon, so no steal scan runs at all, and every tick woken
+// off its grid keeps or moves its park at the end of the instant: none is
+// re-armed to fire.
+func TestKernelStatsMetbenchUniform(t *testing.T) {
+	r := Run(Config{Workload: "metbench", Mode: ModeUniform, Seed: 42})
+	want := sched.Stats{
+		TicksElided:      283672,
+		TickWakes:        1978,
+		ReviewsKept:      1856,
+		ReviewsMoved:     119,
+		ReviewsRearmed:   0,
+		StealScans:       0,
+		StealCacheSkips:  0,
+		StealPinnedSkips: 310,
+	}
+	if got := r.Kernel.Stats(); got != want {
+		t.Errorf("Stats() = %+v,\n          want %+v", got, want)
+	}
+	if got := r.Kernel.Engine.Stats().Fired; got != 2886 {
+		t.Errorf("fired %d events, want 2886", got)
+	}
+}

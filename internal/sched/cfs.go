@@ -210,22 +210,25 @@ func (rq *cfsRQ) Tick(t *Task) {
 	}
 }
 
-// TickNoops implements TickHorizon. Called right after Tick ran for t at
-// the current instant, it bounds how many further on-cadence ticks stay
-// Resched-free under frozen queue state. With the task running
-// continuously, SumExec at the k-th future tick is exactly SumExec+k·period
-// (integer arithmetic), so the slice-expiry clause is closed-form; the
-// vruntime-lag clause is bounded by iterating the exact per-tick float
-// increment — the same single rounding ElideTicks will apply per elided
-// tick — against the frozen leftmost vruntime, so the bound is exact,
-// never optimistic.
+// TickNoops implements TickHorizon. It counts from the CPU's next grid
+// tick, next, which accounts t through next: with the task running
+// continuously, SumExec at the k-th future tick is exactly
+// SumExec + (next − lastUpdate) + (k−1)·period (integer arithmetic), so the
+// slice-expiry clause is closed-form. The vruntime-lag clause iterates the
+// exact float increments the ticks will apply against the frozen leftmost
+// vruntime — the first spans the run time since the last vruntime update,
+// each later one exactly one period, rounded as vruntimeDelta and
+// ElideTicks round them — so the bound is exact, never optimistic. Right
+// after Tick ran, lastUpdate is the present and the vruntime is current,
+// so every increment spans one period.
 func (rq *cfsRQ) TickNoops(t *Task) int {
 	if rq.tree.Len() == 0 {
 		return tickNoopsForever // nothing to be fair to: Tick never reschedules
 	}
 	p := rq.k.Opts.TickPeriod
+	next := rq.k.rqs[rq.cpu].gridCeil(rq.k.Now() + 1)
 	slice := rq.sliceFor(t)
-	ran := t.SumExec - t.cfs.sliceStart
+	ran := t.SumExec - t.cfs.sliceStart + next - t.lastUpdate - p
 	if ran >= slice {
 		return 0
 	}
@@ -238,15 +241,18 @@ func (rq *cfsRQ) TickNoops(t *Task) int {
 	}
 	m := rq.tree.Min().Item.cfs.vruntime
 	limit := float64(slice)
+	first := t.SumExec - t.cfs.lastSumExec + next - t.lastUpdate
 	delta := float64(p) * float64(nice0Weight) / float64(t.cfs.weight)
-	v := t.cfs.vruntime
-	for k := 1; k <= n; k++ {
-		v += delta
+	v := t.cfs.vruntime + float64(first)*float64(nice0Weight)/float64(t.cfs.weight)
+	for k := 1; ; k++ {
 		if v-m > limit {
 			return k - 1 // tick k is the first that may reschedule
 		}
+		if k == n {
+			return n
+		}
+		v += delta
 	}
-	return n
 }
 
 // ElideTicks implements TickHorizon. Each elided Tick adds the same

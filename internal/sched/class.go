@@ -70,14 +70,19 @@ type ClassRQ interface {
 // instants in O(1) per stretch. A ClassRQ that does not implement it
 // simply never has its busy ticks parked.
 type TickHorizon interface {
-	// TickNoops returns how many consecutive future ticks are provably
-	// free of Resched requests while t keeps running on this CPU and the
-	// class queue (membership, weights, discipline) stays unchanged — the
-	// kernel wakes the parked tick on every such local change, so the
-	// bound only needs to hold under frozen queue state. 0 means the very
-	// next tick may act. Implementations may return any sufficiently
-	// large value for "never": the kernel caps the horizon far below
-	// MaxInt32 (ticklessParkCap).
+	// TickNoops returns how many consecutive future ticks, counted from
+	// the CPU's next grid tick, are provably free of Resched requests
+	// while t keeps running on this CPU and the class queue (membership,
+	// weights, discipline) stays unchanged — the kernel wakes the parked
+	// tick on every such local change, so the bound only needs to hold
+	// under frozen queue state. 0 means the very next tick may act.
+	// Implementations may return any sufficiently large value for
+	// "never": the kernel caps the horizon far below MaxInt32
+	// (ticklessParkCap). The kernel calls it right after Tick ran at the
+	// current instant, and between ticks — when a woken tick is reviewed
+	// at the end of an instant — where t's accounting may have advanced
+	// past the last tick and its tick bookkeeping not: the bound must
+	// count what the next tick will then apply.
 	TickNoops(t *Task) int
 
 	// ElideTicks applies the bookkeeping (vruntime, quantum) of n

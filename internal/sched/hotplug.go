@@ -39,7 +39,8 @@ func (k *Kernel) OfflineCore(core int) {
 		rq := k.rqs[cpu]
 		// Retire the tick: settle any parked stretch exactly (the replay
 		// must run before the queues below are mutated), then cancel the
-		// periodic event for good.
+		// periodic event for good. A review the wake (or an earlier one
+		// this instant) requested finds the CPU offline and skips it.
 		if rq.tickParked {
 			k.wakeTick(rq)
 		}

@@ -128,3 +128,49 @@ func TestOfflineCoreDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different end times with hotplug: %v vs %v", a, b)
 	}
 }
+
+// TestOfflineCoreKeepsMigratableCount: a pinned task queued on a core that
+// goes offline has its affinity broken before it is drained, so the drain
+// must count it by the pinned flag its enqueue recorded, and its re-enqueue
+// elsewhere counts it as migratable. The kernel's migratable count stays
+// exact through the evacuation and afterwards.
+func TestOfflineCoreKeepsMigratableCount(t *testing.T) {
+	e, k := newTestKernel(1)
+	// Two tasks pinned to CPU2: one runs, the other waits in its queue.
+	for i := 0; i < 2; i++ {
+		k.Watch(k.AddProcess(TaskSpec{Name: "pinned", Policy: PolicyNormal, Affinity: pin(2)},
+			func(env *Env) { env.Compute(40 * sim.Millisecond) }))
+	}
+	k.Watch(k.AddProcess(TaskSpec{Name: "free", Policy: PolicyNormal},
+		func(env *Env) { env.Compute(40 * sim.Millisecond) }))
+	check := func(when string) {
+		want := 0
+		for _, task := range k.Tasks() {
+			pinned := task.Affinity != 0 && task.Affinity&(task.Affinity-1) == 0
+			if task.state == StateRunnable && !pinned {
+				want++
+			}
+		}
+		if k.nrMigratable != want {
+			t.Fatalf("%s: nrMigratable = %d, want %d", when, k.nrMigratable, want)
+		}
+	}
+	e.Schedule(5*sim.Millisecond, func() {
+		if k.RQ(2).NrQueued() != 1 {
+			t.Fatalf("CPU2 queues %d tasks before the offline, want 1", k.RQ(2).NrQueued())
+		}
+		check("before OfflineCore")
+		k.OfflineCore(1)
+		check("after OfflineCore")
+	})
+	var probe func()
+	probe = func() {
+		check("during the run")
+		if k.Watching() > 0 {
+			e.After(sim.Millisecond, probe)
+		}
+	}
+	e.Schedule(5*sim.Millisecond+1, probe)
+	k.RunUntilWatchedExit(10 * sim.Second)
+	check("at the end")
+}

@@ -275,35 +275,77 @@ func TestIdleBalanceNegativeCache(t *testing.T) {
 	}
 }
 
-// TestIdleBalanceCachePinnedDaemon: when the only queued task can never
-// migrate (affinity), the failed pass is cached with no retry deadline —
-// rescans wait for a queue membership change instead of burning every tick.
+// TestIdleBalanceCachePinnedDaemon: while the only queued task is pinned
+// to another CPU, every Steal fails on affinity, so no idle CPU runs a
+// steal scan for it at all (not even once, to fill the negative-result
+// cache), and the daemon never migrates. Its enqueue and dequeue — and the
+// context switches around them — leave idle CPU1's parked tick where it
+// was: each wake is reviewed when the instant ends and keeps the park,
+// where a wake once re-armed the tick on its grid to fire and re-park.
 func TestIdleBalanceCachePinnedDaemon(t *testing.T) {
 	e, k := newTestKernel(1)
 	hog := k.AddProcess(TaskSpec{Name: "hog", Policy: PolicyNormal, Affinity: pin(0)},
 		func(env *Env) { env.Compute(30 * sim.Millisecond) })
 	k.Watch(hog)
+	// CPU2 goes idle while the daemon is queued: its balance pass finds
+	// only the pinned daemon.
+	short := k.AddProcess(TaskSpec{Name: "short", Policy: PolicyNormal, Affinity: pin(2)},
+		func(env *Env) { env.Compute(3 * sim.Millisecond) })
+	k.Watch(short)
+	rq1 := k.RQ(1)
 	var daemon *Task
-	e.Schedule(100*sim.Microsecond, func() {
+	var parkAt sim.Time
+	// Off CPU1's grid (250 µs + n ms), after its first tick parked.
+	spawnAt := 3100 * sim.Microsecond
+	e.Schedule(spawnAt, func() {
+		if !rq1.tickParked {
+			t.Fatal("CPU1's tick is not parked before the daemon spawns")
+		}
+		parkAt = rq1.tickEv.At()
 		daemon = k.AddProcess(TaskSpec{Name: "pinned", Policy: PolicyNormal, Affinity: pin(0)},
 			func(env *Env) { env.Compute(sim.Millisecond) })
 		k.Watch(daemon)
 	})
-	e.Schedule(10*sim.Millisecond, func() {
-		rq1 := k.RQ(1)
-		if !rq1.lbFailed {
-			t.Error("failed pull attempt not cached")
+	var queued, ran bool
+	var probe func()
+	probe = func() {
+		switch daemon.state {
+		case StateRunnable:
+			queued = true
+		case StateRunning, StateExited:
+			ran = true
 		}
-		if rq1.lbRetryAt != sim.MaxTime {
-			t.Errorf("retry time %v for an affinity-only failure, want MaxTime", rq1.lbRetryAt)
+		if !rq1.tickParked || rq1.tickEv.At() != parkAt {
+			t.Fatalf("at %v CPU1's tick parked=%v at %v, want parked at %v",
+				e.Now(), rq1.tickParked, rq1.tickEv.At(), parkAt)
 		}
-		if daemon.Migrations != 0 {
-			t.Errorf("pinned daemon migrated %d times", daemon.Migrations)
+		if st := k.Stats(); st.StealScans != 0 || st.StealCacheSkips != 0 {
+			t.Fatalf("at %v: %d steal scans, %d cache skips with only pinned tasks queued",
+				e.Now(), st.StealScans, st.StealCacheSkips)
 		}
-	})
+		if !daemon.Exited() {
+			e.After(100*sim.Microsecond, probe)
+		}
+	}
+	e.Schedule(spawnAt+1, probe)
 	k.RunUntilWatchedExit(sim.Second)
-	if !daemon.Exited() {
-		t.Fatal("pinned daemon never ran")
+	if !queued || !ran || !daemon.Exited() {
+		t.Fatalf("daemon queued=%v ran=%v exited=%v: the probes did not span its queueing",
+			queued, ran, daemon.Exited())
+	}
+	if short.ExitedAt <= spawnAt || short.ExitedAt >= daemon.ExitedAt {
+		t.Fatalf("short exited at %v, not while the daemon (%v–%v) was queued",
+			short.ExitedAt, spawnAt, daemon.ExitedAt)
+	}
+	st := k.Stats()
+	if st.StealPinnedSkips == 0 {
+		t.Error("CPU2's balance pass with only the daemon queued was not counted as a pinned skip")
+	}
+	if st.StealScans != 0 {
+		t.Errorf("%d steal scans ran; every queued task was pinned", st.StealScans)
+	}
+	if daemon.Migrations != 0 {
+		t.Errorf("pinned daemon migrated %d times", daemon.Migrations)
 	}
 }
 

@@ -62,6 +62,7 @@ type RunQueue struct {
 	lastTickAt sim.Time // last accounted grid instant (fired or elided)
 	tickParked bool
 	tickBusy   bool // the parked stretch covers a busy CPU (NO_HZ_FULL)
+	tickReview bool // woken off the grid; reviewTicks re-decides the park
 
 	// Negative-result cache for idleBalance: after a pull attempt finds
 	// nothing, the busiest-scan is provably futile until some queue's
@@ -127,6 +128,13 @@ type Kernel struct {
 	nrQueued      int
 	nrQueuedClass []int
 
+	// nrMigratable counts the queued tasks not pinned to one CPU
+	// (Task.pinned). Every Steal tests MayRunOn first, so while it is 0 no
+	// balance pull can succeed: idleBalance skips its scan, an idle park
+	// needs no negative-result cache, and a pinned task's enqueue or
+	// dequeue wakes only its own core's idle parks (queueChanged).
+	nrMigratable int
+
 	// queueGen counts class-queue membership changes machine-wide; it
 	// versions the per-CPU idle-balance negative-result caches.
 	// stealColdAt is pass-local scratch: Steal implementations record —
@@ -140,13 +148,15 @@ type Kernel struct {
 	// compare when nothing is idle-parked. Busy-parked ticks (tickBusy)
 	// are deliberately excluded: they wake only on local transitions of
 	// their own CPU, never via tickStateChanged, and their wake hook is a
-	// per-RunQueue flag check. ticksElided counts the tick instants parked
-	// over — their effects were reproduced in closed form rather than
-	// fired as events — so throughput harnesses can normalise by simulated
-	// instants (TicksElided) and stay comparable across the tickless
-	// changes.
+	// per-RunQueue flag check.
 	parkedTicks int
-	ticksElided int64
+
+	// stats holds the work counters Stats reports. Its TicksElided counts
+	// the settled tick instants parked over — their effects were
+	// reproduced in closed form rather than fired as events — so
+	// throughput harnesses can normalise by simulated instants
+	// (TicksElided) and stay comparable across the tickless changes.
+	stats Stats
 
 	// Migration counters by source (diagnostics). MigHotplug counts tasks
 	// evacuated from a CPU removed by OfflineCore.
@@ -172,6 +182,7 @@ func NewKernel(engine *sim.Engine, chip *power5.Chip, opts Options) *Kernel {
 	k.classes = []Class{newRTClass(), newFairClass(), newIdleClass()}
 	k.buildRQs()
 	chip.SetSpeedChangeHook(k.coreSpeedChanged)
+	engine.OnInstantEnd(k.reviewTicks)
 	for cpu := 0; cpu < chip.NumCPUs(); cpu++ {
 		k.startTicker(cpu)
 	}
@@ -182,8 +193,10 @@ func (k *Kernel) buildRQs() {
 	k.nrQueuedClass = make([]int, len(k.classes))
 	k.rqs = make([]*RunQueue, k.Chip.NumCPUs())
 	k.onlineCPUs = len(k.rqs)
+	block := make([]RunQueue, len(k.rqs)) // one allocation for every queue
 	for cpu := range k.rqs {
-		rq := &RunQueue{CPU: cpu, kernel: k, classRQ: make([]ClassRQ, len(k.classes))}
+		rq := &block[cpu]
+		*rq = RunQueue{CPU: cpu, kernel: k, classRQ: make([]ClassRQ, len(k.classes))}
 		for i, c := range k.classes {
 			rq.classRQ[i] = c.NewRQ(k, cpu)
 		}
@@ -296,7 +309,7 @@ func (k *Kernel) Now() sim.Time { return k.Engine.Now() }
 // Engine.Stats().Fired + TicksElided — that sum is invariant under the
 // tickless optimisations for a fixed workload.
 func (k *Kernel) TicksElided() int64 {
-	n := k.ticksElided
+	n := k.stats.TicksElided
 	p := k.Opts.TickPeriod
 	for _, rq := range k.rqs {
 		if rq.tickParked {
@@ -304,6 +317,30 @@ func (k *Kernel) TicksElided() int64 {
 		}
 	}
 	return n
+}
+
+// Stats holds the scheduler's deterministic work counters: how its tick
+// and balance work was spent, for a cost breakdown by layer.
+type Stats struct {
+	// TicksElided is TicksElided(): tick instants settled in closed form.
+	TicksElided int64
+	// TickWakes counts parked ticks woken by a state change (wakeTick).
+	TickWakes int64
+	// A tick woken off its grid is reviewed when the instant ends
+	// (reviewTicks): its parked event is kept in place, moved to a new
+	// park instant, or re-armed at the next grid instant.
+	ReviewsKept, ReviewsMoved, ReviewsRearmed int64
+	// Idle-balance passes with tasks queued: the busiest-queue steal scan
+	// ran, was skipped by the negative-result cache, or was skipped
+	// because every queued task was pinned to one CPU.
+	StealScans, StealCacheSkips, StealPinnedSkips int64
+}
+
+// Stats returns a snapshot of the work counters.
+func (k *Kernel) Stats() Stats {
+	s := k.stats
+	s.TicksElided = k.TicksElided()
+	return s
 }
 
 func (k *Kernel) traceState(t *Task, s State, cpu int) {
@@ -539,13 +576,18 @@ func (k *Kernel) exit(t *Task) {
 
 // noteEnqueued/noteDequeued maintain the cached queued-task counters.
 // They must bracket every class-queue membership change; all such changes
-// happen in this file, right next to a call to one of them.
+// happen in this file, right next to a call to one of them. The enqueue
+// records whether t is pinned, and the dequeue counts by that record.
 func (k *Kernel) noteEnqueued(rq *RunQueue, t *Task) {
 	k.nrQueued++
 	k.nrQueuedClass[t.classIdx]++
 	k.queueGen++
 	rq.nrQueued++
-	k.tickStateChanged()
+	t.pinned = t.Affinity != 0 && t.Affinity&(t.Affinity-1) == 0
+	if !t.pinned {
+		k.nrMigratable++
+	}
+	k.queueChanged(rq, t)
 }
 
 func (k *Kernel) noteDequeued(rq *RunQueue, t *Task) {
@@ -553,7 +595,33 @@ func (k *Kernel) noteDequeued(rq *RunQueue, t *Task) {
 	k.nrQueuedClass[t.classIdx]--
 	k.queueGen++
 	rq.nrQueued--
-	k.tickStateChanged()
+	if !t.pinned {
+		k.nrMigratable--
+	}
+	k.queueChanged(rq, t)
+}
+
+// queueChanged wakes the idle-parked ticks that t's enqueue on, or dequeue
+// from, rq may have made observable. A migratable task, or any task while
+// a migratable one is queued, can change what a steal scan finds, so every
+// idle park wakes (tickStateChanged). A pinned task while none is
+// migratable cannot: no pull can succeed before or after. Its queue is
+// then read only by its own CPU and by the sibling's activeBalance gate
+// (sib.nrQueued), so only the idle parks of rq's core wake.
+func (k *Kernel) queueChanged(rq *RunQueue, t *Task) {
+	if !t.pinned || k.nrMigratable != 0 {
+		k.tickStateChanged()
+		return
+	}
+	if k.parkedTicks == 0 {
+		return
+	}
+	base := rq.CPU &^ 1
+	for _, r := range k.rqs[base : base+2] {
+		if r.tickParked && !r.tickBusy {
+			k.wakeTick(r)
+		}
+	}
 }
 
 // BalanceCacheHot reports whether t is too cache-hot for the load balancer
@@ -1094,7 +1162,7 @@ func (k *Kernel) coreSpeedChanged(co *power5.Core, mask int) {
 // the event via Reschedule, so the periodic tick never allocates. On
 // provably unobservable stretches the re-arm instead parks the event past
 // its grid (tickless idle and busy — see maybeParkTick), and a wake-up
-// re-arms it back onto the cadence (wakeTick).
+// hands it back to the cadence (wakeTick, reviewTick).
 func (k *Kernel) startTicker(cpu int) {
 	period := k.Opts.TickPeriod
 	offset := period * sim.Time(cpu) / sim.Time(k.Chip.NumCPUs())
@@ -1243,7 +1311,7 @@ func (k *Kernel) settleStretch(rq *RunQueue, through sim.Time) {
 	} else {
 		rq.applyLoad(0, through)
 	}
-	k.ticksElided += int64(n)
+	k.stats.TicksElided += int64(n)
 	rq.lastTickAt = through
 }
 
@@ -1389,7 +1457,11 @@ const ticklessParkCap = 1024
 
 // maybeParkTick decides, at the end of the tick that fired at now, whether
 // every subsequent tick of rq is provably unobservable until some future
-// instant, and if so returns the instant to park the tick event at.
+// instant, and if so returns the instant to park the tick event at. The
+// review of a tick woken off its grid (reviewTick) asks it the same for
+// the next grid instant, before that tick fires: the horizon is absolute,
+// and a park is granted only past now+period, which puts the horizon past
+// now+period too, so the tick at now is proven a no-op as well.
 //
 // A parked CPU's ticks would do exactly four things; each is either shown
 // impossible until the horizon or reproduced exactly:
@@ -1397,10 +1469,11 @@ const ticklessParkCap = 1024
 //   - the load sample (0): settled lazily in closed form, one applyLoad
 //     per stretch (settleIdleLoad, settleStretch), before any read and
 //     before the tick resumes;
-//   - the idle-balance pull: with tasks queued machine-wide, provably
+//   - the idle-balance pull: with migratable tasks queued, provably
 //     futile while the negative-result cache holds (no queue mutation —
 //     any mutation wakes the tick — and no hot-rejected candidate cooled:
-//     the horizon includes lbRetryAt);
+//     the horizon includes lbRetryAt); with only pinned tasks queued, or
+//     none, idleBalance runs no scan at all;
 //   - the SMT-domain active balance: its gates open no earlier than
 //     activeBalanceEligibleAt — a lower bound built from the frozen
 //     idle-since marks, the deterministic loadAvg trajectories of this
@@ -1424,10 +1497,11 @@ func (k *Kernel) maybeParkTick(rq *RunQueue, now sim.Time) (sim.Time, bool) {
 		return 0, false
 	}
 	h := sim.MaxTime
-	if k.nrQueued != 0 {
+	if k.nrMigratable != 0 {
 		// Every tick runs the idle-balance pull: only the valid
 		// negative-result cache makes it futile, and only until a
-		// hot-rejected candidate cools.
+		// hot-rejected candidate cools. Pinned tasks alone never make it
+		// act: idleBalance skips the scan for them.
 		if !rq.lbFailed || rq.lbFailGen != k.queueGen {
 			return 0, false
 		}
@@ -1492,7 +1566,9 @@ func (k *Kernel) maybeParkTick(rq *RunQueue, now sim.Time) (sim.Time, bool) {
 // exactly as maybeParkTick: that firing is still provably a no-op, and its
 // ordinary in-cadence re-arm gives the acting tick the arming instant —
 // and so the position among same-instant events — it would have had had
-// the tick never parked.
+// the tick never parked. The review of a woken tick (reviewTick) asks it
+// between ticks, with now the last settled grid instant: TickNoops then
+// counts from the next grid tick, over the accounting done since.
 func (k *Kernel) maybeParkBusyTick(rq *RunQueue, now sim.Time) (sim.Time, bool) {
 	if k.Opts.NoTicklessBusy {
 		return 0, false
@@ -1603,14 +1679,17 @@ func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
 // tickStateChanged wakes every idle-parked tick: some queue membership or
 // running-task transition just happened, so the machine-wide balance
 // horizons may no longer bound the first observable tick. Each woken tick
-// re-parks with a fresh horizon at its next firing if the premise still
-// holds. Busy-parked ticks are exempt: their horizons depend only on their
-// own CPU's class-queue state, which global transitions cannot touch —
-// they are woken by the local mutation sites instead (wakeBusyParked).
+// re-decides its park with a fresh horizon when the instant ends
+// (reviewTicks), or at once on a grid instant (wakeTick). Busy-parked
+// ticks are exempt: their horizons depend only on their own CPU's
+// class-queue state, which global transitions cannot touch — they are
+// woken by the local mutation sites instead (wakeBusyParked). A pinned
+// task's queue change wakes only its own core (queueChanged).
 //
 // It must be called before the mutation schedules any same-instant
-// follow-up events (Resched), so the woken tick keeps its place before
-// them — see wakeTick for why that reproduces the never-parked order.
+// follow-up events (Resched), so a tick woken on its grid keeps its place
+// before them — see wakeTick for why that reproduces the never-parked
+// order.
 func (k *Kernel) tickStateChanged() {
 	if k.parkedTicks == 0 {
 		return
@@ -1622,11 +1701,20 @@ func (k *Kernel) tickStateChanged() {
 	}
 }
 
-// wakeTick re-arms a parked tick event back onto its grid. The subtlety is
-// the same-instant case: when the wake happens exactly on a grid instant
-// T, the never-parked tick at T would have carried a sequence number from
-// its arming at T−period, so it ordered before exactly those same-instant
-// events armed after T−period. If the event firing now was armed after
+// wakeTick unparks a parked tick: it settles the stretch up to the last
+// grid instant before the present and hands the tick back to the cadence.
+//
+// Off the grid — the common case — the tick is not re-armed. It is marked
+// for review (tickReview), and when the instant ends reviewTicks decides,
+// from the state the instant left, what the tick at the next grid instant
+// would decide: park again (keeping or moving the parked event) or run.
+// Most woken ticks would only re-park, so the review saves their firing;
+// any later change before that grid instant wakes the tick again.
+//
+// Exactly on a grid instant T the tick is re-armed at once, because its
+// order among T's events matters: the never-parked tick at T would have
+// carried a sequence number from its arming at T−period, so it ordered
+// before exactly those same-instant events armed after T−period. If the event firing now was armed after
 // that point, the virtual tick at T "already fired" — before this event —
 // and, being pre-mutation, was a no-op: its decay is settled and the tick
 // resumes at T+period. Otherwise the tick at T still belongs after the
@@ -1644,10 +1732,12 @@ func (k *Kernel) tickStateChanged() {
 // burst/latency arithmetic — and are pinned empirically by the golden
 // tables and the randomized tickless-equivalence tests.
 func (k *Kernel) wakeTick(rq *RunQueue) {
+	k.stats.TickWakes++
 	now := k.Now()
 	period := k.Opts.TickPeriod
 	at := rq.gridCeil(now)
-	if at == now && (rq.lastTickAt == now ||
+	onGrid := at == now
+	if onGrid && (rq.lastTickAt == now ||
 		k.Engine.FiringScheduledAt() >= now-period) {
 		// The virtual tick at now "already fired" (or the real one did —
 		// lastTickAt == now — and re-parked at this very instant): settle
@@ -1663,18 +1753,88 @@ func (k *Kernel) wakeTick(rq *RunQueue) {
 	} else {
 		k.parkedTicks--
 	}
+	if !onGrid {
+		rq.tickReview = true
+		k.Engine.RequestInstantEnd()
+		return
+	}
 	k.Engine.Reschedule(rq.tickEv, at)
+}
+
+// reviewTicks is the engine's instant-end hook: every tick wakeTick
+// unparked off its grid during the instant now re-decides its park, from
+// the state the instant left. Offline CPUs have no tick left to review.
+func (k *Kernel) reviewTicks() {
+	for _, rq := range k.rqs {
+		if rq.tickReview {
+			rq.tickReview = false
+			if !rq.offline {
+				k.reviewTick(rq)
+			}
+		}
+	}
+}
+
+// reviewTick decides for rq, whose tick was woken off the grid this
+// instant, what its tick at the next grid instant g would decide, and
+// applies it without firing that tick. The wake settled the stretch
+// through g − period, so the tick at g would find exactly the present
+// state — any change before g wakes the tick again. An idle CPU asks
+// maybeParkTick at g: a park there proves the ticks from g up to the park
+// instant no-ops. A busy CPU asks its class for the no-op ticks counted
+// from g (TickNoops between ticks); with n ≥ 2 of them the park instant
+// is g + (n−1)·period, and with one the tick is re-armed at g, the same
+// instant. The still-parked event stays where it is when that
+// is no later than the park instant: the tick there is a no-op and
+// re-decides. Otherwise it moves to the park instant. Only when the tick
+// at g might act is it re-armed at g, as a fired wake would have it.
+func (k *Kernel) reviewTick(rq *RunQueue) {
+	p := k.Opts.TickPeriod
+	g := rq.lastTickAt + p
+	busy := rq.current != nil
+	var park sim.Time
+	var ok bool
+	if busy {
+		park, ok = k.maybeParkBusyTick(rq, g-p)
+	} else {
+		park, ok = k.maybeParkTick(rq, g)
+	}
+	if !ok {
+		k.stats.ReviewsRearmed++
+		k.Engine.Reschedule(rq.tickEv, g)
+		return
+	}
+	rq.tickParked = true
+	if busy {
+		rq.tickBusy = true
+	} else {
+		k.parkedTicks++
+	}
+	if rq.tickEv.At() <= park {
+		k.stats.ReviewsKept++
+		return
+	}
+	k.stats.ReviewsMoved++
+	k.Engine.Reschedule(rq.tickEv, park)
 }
 
 // idleBalance runs when a CPU found no runnable task: classes get, in
 // priority order, a chance to pull work from other CPUs (the "idle CPU
-// pulls from busiest run queue" behaviour of the framework). If no queued
-// task exists anywhere, the SMT-domain active balance may migrate a
-// *running* task from a doubly-busy core to a fully idle one.
+// pulls from busiest run queue" behaviour of the framework). The scan is
+// skipped when it provably finds nothing: while every queued task is
+// pinned to one CPU (nrMigratable == 0), and while the negative-result
+// cache holds. If no pull succeeds, the SMT-domain active balance may
+// migrate a *running* task from a doubly-busy core to a fully idle one.
 func (k *Kernel) idleBalance(rq *RunQueue) *Task {
-	if k.nrQueued == 0 {
-		// Nothing queued anywhere: every busiest-scan below would come up
-		// empty, so go straight to the SMT-domain active balance.
+	if k.nrMigratable == 0 {
+		// Nothing queued anywhere, or only tasks pinned to one CPU — their
+		// own, never this one, or this CPU would have picked them: every
+		// Steal tests MayRunOn first, so the busiest-scan below would come
+		// up empty. Go straight to the SMT-domain active balance, and do
+		// not wake the busiest CPU's busy-parked tick for a futile Steal.
+		if k.nrQueued != 0 {
+			k.stats.StealPinnedSkips++
+		}
 		return k.activeBalance(rq)
 	}
 	// Negative-result cache (the "cache-hot daemon queued behind a running
@@ -1684,8 +1844,10 @@ func (k *Kernel) idleBalance(rq *RunQueue) *Task {
 	// so a failed Steal can only start succeeding through one of those two
 	// events. Skip straight to the SMT-domain active balance.
 	if rq.lbFailed && rq.lbFailGen == k.queueGen && k.Now() < rq.lbRetryAt {
+		k.stats.StealCacheSkips++
 		return k.activeBalance(rq)
 	}
+	k.stats.StealScans++
 	k.stealColdAt = sim.MaxTime
 	for ci := range k.classes {
 		if k.nrQueuedClass[ci] == 0 {

@@ -1,0 +1,141 @@
+package sched
+
+import (
+	"testing"
+
+	"hpcsched/internal/power5"
+	"hpcsched/internal/sim"
+)
+
+// reviewRun builds a 4-CPU kernel, tickless unless ticking, with a 20 ms
+// task pinned to CPU0 so CPUs 1–3 sit idle with parked ticks; at lets the
+// caller act on the kernel at chosen instants. It returns the fingerprint
+// of the finished run, over every task created.
+func reviewRun(t *testing.T, ticking bool, at func(e *sim.Engine, k *Kernel)) string {
+	t.Helper()
+	e := sim.NewEngine(5)
+	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
+	opts := DefaultOptions()
+	opts.NoTicklessIdle = ticking
+	opts.NoTicklessBusy = ticking
+	k := NewKernel(e, chip, opts)
+	solo := k.AddProcess(TaskSpec{Name: "solo", Policy: PolicyNormal, Affinity: pin(0)},
+		func(env *Env) { env.Compute(20 * sim.Millisecond) })
+	k.Watch(solo)
+	at(e, k)
+	k.RunUntilWatchedExit(sim.Second)
+	k.Shutdown()
+	return fingerprintOf(k, k.Tasks())
+}
+
+// TestWakeOnGridRearmsAtOnce: a wake exactly on a CPU's grid instant T
+// keeps the immediate path — no review — because the tick's order among
+// T's events matters: the tick is re-armed at T when the waking event was
+// armed before T−period (the never-parked tick at T fires after it), and
+// at T+period when it was armed later (that tick already fired, a no-op).
+// The same instant's wakes off other CPUs' grids wait for the review. The
+// run matches the always-ticking one.
+func TestWakeOnGridRearmsAtOnce(t *testing.T) {
+	const T = 5*sim.Millisecond + 500*sim.Microsecond // on CPU2's grid
+	for _, c := range []struct {
+		name    string
+		armedAt sim.Time // when the waking event is scheduled
+		want    sim.Time // CPU2's re-armed tick
+	}{
+		{"tick-after", 0, T},
+		{"tick-fired", T - 500*sim.Microsecond, T + sim.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spawn := func(check bool) func(e *sim.Engine, k *Kernel) {
+				return func(e *sim.Engine, k *Kernel) {
+					e.Schedule(c.armedAt, func() {
+						e.Schedule(T, func() {
+							if check && !k.RQ(2).tickParked {
+								t.Fatal("CPU2's tick is not parked before the wake")
+							}
+							k.Watch(k.AddProcess(TaskSpec{Name: "late", Policy: PolicyNormal},
+								func(env *Env) { env.Compute(2 * sim.Millisecond) }))
+							if !check {
+								return
+							}
+							rq2 := k.RQ(2)
+							if rq2.tickParked || rq2.tickReview || rq2.tickEv.At() != c.want {
+								t.Errorf("CPU2 on its grid: parked=%v review=%v tick at %v, want re-armed at %v",
+									rq2.tickParked, rq2.tickReview, rq2.tickEv.At(), c.want)
+							}
+							for _, cpu := range []int{1, 3} {
+								if !k.RQ(cpu).tickReview {
+									t.Errorf("CPU%d, woken off its grid, is not marked for review", cpu)
+								}
+							}
+						})
+					})
+				}
+			}
+			want := reviewRun(t, true, spawn(false))
+			if got := reviewRun(t, false, spawn(true)); got != want {
+				t.Fatalf("tickless run diverges:\n--- tickless ---\n%s--- ticking ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestWakeSameInstantAsOffline: a tick woken off its grid in the same
+// instant that OfflineCore removes its CPU has no tick left to review: the
+// review skips it and clears its mark, in either order of the two, and
+// the run matches the always-ticking one.
+func TestWakeSameInstantAsOffline(t *testing.T) {
+	const X = 5*sim.Millisecond + 300*sim.Microsecond // on no CPU's grid
+	for _, wakeFirst := range []bool{true, false} {
+		name := "offline-then-wake"
+		if wakeFirst {
+			name = "wake-then-offline"
+		}
+		t.Run(name, func(t *testing.T) {
+			act := func(check bool) func(e *sim.Engine, k *Kernel) {
+				return func(e *sim.Engine, k *Kernel) {
+					e.Schedule(X, func() {
+						if check {
+							for cpu := 2; cpu < 4; cpu++ {
+								if !k.RQ(cpu).tickParked {
+									t.Fatalf("CPU%d's tick is not parked before the instant", cpu)
+								}
+							}
+						}
+						wake := func() {
+							k.Watch(k.AddProcess(TaskSpec{Name: "late", Policy: PolicyNormal},
+								func(env *Env) { env.Compute(2 * sim.Millisecond) }))
+						}
+						if wakeFirst {
+							wake()
+							if check && !k.RQ(2).tickReview {
+								t.Error("CPU2, woken off its grid, is not marked for review")
+							}
+						}
+						k.OfflineCore(1)
+						if !wakeFirst {
+							wake()
+						}
+					})
+					e.Schedule(X+1, func() {
+						for cpu := 2; cpu < 4; cpu++ {
+							rq := k.RQ(cpu)
+							if rq.tickReview || rq.tickParked || rq.tickEv != nil {
+								t.Errorf("offline CPU%d after the instant: review=%v parked=%v tick=%v",
+									cpu, rq.tickReview, rq.tickParked, rq.tickEv != nil)
+							}
+						}
+						if rq1 := k.RQ(1); rq1.tickReview ||
+							!rq1.tickParked && rq1.tickEv.At() != rq1.gridCeil(X) {
+							t.Error("CPU1's tick was neither parked nor re-armed by the review")
+						}
+					})
+				}
+			}
+			want := reviewRun(t, true, act(false))
+			if got := reviewRun(t, false, act(true)); got != want {
+				t.Fatalf("tickless run diverges:\n--- tickless ---\n%s--- ticking ---\n%s", got, want)
+			}
+		})
+	}
+}

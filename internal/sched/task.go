@@ -118,6 +118,12 @@ type Task struct {
 	// outstanding count).
 	watched bool
 
+	// pinned records, at enqueue, that the affinity allowed exactly one
+	// CPU: no balancer can pull the task while it stays queued. Kept
+	// rather than recomputed so the dequeue matches the enqueue's count
+	// even after OfflineCore breaks the affinity (Kernel.nrMigratable).
+	pinned bool
+
 	// Pre-bound engine callbacks, allocated once at task creation so the
 	// per-burst and per-sleep paths schedule pooled events without
 	// allocating a closure each time.

@@ -9,12 +9,17 @@ import (
 	"hpcsched/internal/sim"
 )
 
-// ticklessFingerprint runs a randomized task mix — compute bursts, sleeps,
-// blocks woken by a peer's deferred posts, random policies and affinities,
-// long-idle stretches that arm the SMT-domain active balance — and renders
-// every externally observable per-task and per-CPU quantity into a string.
-// idle and busy select which tick-elision machinery is enabled.
-func ticklessFingerprint(seed uint64, idle, busy bool) string {
+// ticklessFingerprintMix runs a randomized task mix — compute bursts,
+// sleeps, blocks woken by a peer's deferred posts, random policies and
+// affinities, long-idle stretches that arm the SMT-domain active balance —
+// and renders every externally observable per-task and per-CPU quantity
+// into a string. idle and busy select which tick-elision machinery is
+// enabled. pairs widens the mix, drawing more only where it is set: a
+// third of the tasks may run on exactly two CPUs — migratable, but a Steal
+// for any other CPU fails on affinity — every task draws a nice level, and
+// one noise-style daemon is pinned to each CPU (short bursts between
+// sleeps, forever; Shutdown ends them).
+func ticklessFingerprintMix(seed uint64, idle, busy, pairs bool) string {
 	e := sim.NewEngine(seed)
 	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
 	opts := DefaultOptions()
@@ -29,12 +34,23 @@ func ticklessFingerprint(seed uint64, idle, busy bool) string {
 	for i := 0; i < count; i++ {
 		policy := []Policy{PolicyNormal, PolicyNormal, PolicyBatch, PolicyFIFO, PolicyRR}[rng.Intn(5)]
 		aff := uint64(0)
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			aff = 1 << uint(rng.Intn(4))
+		case 1:
+			if pairs {
+				a := rng.Intn(4)
+				b := (a + 1 + rng.Intn(3)) % 4
+				aff = 1<<uint(a) | 1<<uint(b)
+			}
+		}
+		nice := 0
+		if pairs {
+			nice = rng.Intn(16) - 5
 		}
 		phases := rng.Intn(5) + 1
 		task := k.AddProcess(TaskSpec{Name: fmt.Sprintf("t%d", i), Policy: policy,
-			RTPrio: rng.Intn(50) + 1, Affinity: aff}, func(env *Env) {
+			RTPrio: rng.Intn(50) + 1, Affinity: aff, Nice: nice}, func(env *Env) {
 			for j := 0; j < phases; j++ {
 				switch rng.Intn(5) {
 				case 0:
@@ -83,12 +99,29 @@ func ticklessFingerprint(seed uint64, idle, busy bool) string {
 		e.Schedule(e.Now()+5*sim.Millisecond, wake)
 	}
 	e.Schedule(wakeAt, wake)
+	if pairs {
+		drng := sim.NewRNG(seed ^ 0xd43)
+		for cpu := 0; cpu < k.NumCPUs(); cpu++ {
+			sleepers = append(sleepers, k.AddProcess(TaskSpec{Name: fmt.Sprintf("daemon%d", cpu),
+				Policy: PolicyNormal, Affinity: 1 << uint(cpu)}, func(env *Env) {
+				for {
+					env.Compute(sim.Time(drng.Int63n(int64(300*sim.Microsecond)) + 1))
+					env.Sleep(sim.Time(drng.Int63n(int64(12*sim.Millisecond)) + 1))
+				}
+			}))
+		}
+	}
 
 	k.RunUntilWatchedExit(2 * sim.Second)
 	k.Shutdown()
+	return fingerprintOf(k, append(tasks, sleepers...))
+}
 
-	out := fmt.Sprintf("end=%d mig=%d/%d/%d\n", e.Now(), k.MigWake, k.MigSteal, k.MigActive)
-	for _, task := range append(tasks, sleepers...) {
+// fingerprintOf renders every externally observable per-task and per-CPU
+// quantity of a finished run into a string.
+func fingerprintOf(k *Kernel, tasks []*Task) string {
+	out := fmt.Sprintf("end=%d mig=%d/%d/%d\n", k.Now(), k.MigWake, k.MigSteal, k.MigActive)
+	for _, task := range tasks {
 		out += fmt.Sprintf("%s exit=%d exec=%d wait=%d sleep=%d mig=%d wake=%d/%d\n",
 			task.Name, task.ExitedAt, task.SumExec, task.SumWait, task.SumSleep,
 			task.Migrations, task.WakeupCount, task.WakeupLatSum)
@@ -107,23 +140,53 @@ func ticklessFingerprint(seed uint64, idle, busy bool) string {
 // migrations, context switches, wakeup latencies, even the final decayed
 // load averages — bit-identical to firing every tick.
 func TestTicklessTimelineEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		ticking := ticklessFingerprint(seed, false, false)
-		for _, c := range []struct {
-			name       string
-			idle, busy bool
-		}{
-			{"idle", true, false},
-			{"busy", false, true},
-			{"idle+busy", true, true},
-		} {
-			if got := ticklessFingerprint(seed, c.idle, c.busy); got != ticking {
-				t.Logf("seed %d diverged under tickless %s:\n--- tickless ---\n%s--- ticking ---\n%s",
-					seed, c.name, got, ticking)
-				return false
-			}
+	f := func(seed uint64) bool { return ticklessEquivalent(t, seed, false) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ticklessEquivalent reports whether every tickless configuration of
+// ticklessFingerprintMix at seed matches the always-ticking run, logging
+// the first divergence.
+func ticklessEquivalent(t *testing.T, seed uint64, pairs bool) bool {
+	ticking := ticklessFingerprintMix(seed, false, false, pairs)
+	for _, c := range []struct {
+		name       string
+		idle, busy bool
+	}{
+		{"idle", true, false},
+		{"busy", false, true},
+		{"idle+busy", true, true},
+	} {
+		if got := ticklessFingerprintMix(seed, c.idle, c.busy, pairs); got != ticking {
+			t.Logf("seed %d diverged under tickless %s:\n--- tickless ---\n%s--- ticking ---\n%s",
+				seed, c.name, got, ticking)
+			return false
 		}
-		return true
+	}
+	return true
+}
+
+// TestTicklessPairMaskEquivalence is TestTicklessTimelineEquivalence over
+// ticklessFingerprintMix's wider mix — two-CPU affinity masks, nice levels
+// and per-CPU pinned daemons: steal scans that fail on affinity for a
+// migratable task, stretches where only pinned tasks are queued (no scan
+// runs, and a queue change wakes only its own core's idle parks), and
+// woken ticks reviewed at the end of the instant, CFS ones with a finite
+// horizon counted between ticks, must all leave every observable
+// bit-identical to firing every tick.
+func TestTicklessPairMaskEquivalence(t *testing.T) {
+	f := func(seed uint64) bool { return ticklessEquivalent(t, seed, true) }
+	// Fixed seeds whose timelines diverge if a pinned task's queue change
+	// wakes only its own core while a migratable task is queued: the
+	// change invalidates every negative-result cache, and the rescan can
+	// succeed, since the busiest queue it picks may move. queueChanged
+	// must wake every idle park there.
+	for _, seed := range []uint64{6, 33, 54, 107} {
+		if !f(seed) {
+			t.Fatalf("fixed seed %d diverged", seed)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -114,6 +114,12 @@ type Engine struct {
 	intrEvery int
 	intrLeft  int
 
+	// Instant-end hook (OnInstantEnd): endFn runs once the current instant
+	// has no event left, before the clock moves on, whenever endPending
+	// was set (RequestInstantEnd) during it.
+	endFn      func()
+	endPending bool
+
 	// Stats counters, exported via Stats.
 	scheduled uint64
 	fired     uint64
@@ -347,10 +353,41 @@ func (e *Engine) fire(ev *Event) {
 	}
 }
 
+// OnInstantEnd installs fn as the engine's instant-end hook: after a
+// RequestInstantEnd, fn runs once, after the last event of the current
+// instant and before the clock leaves it. The hook may schedule events,
+// at the current instant too (they fire next, and may request the hook
+// again). There is one hook per engine; installing another replaces it.
+func (e *Engine) OnInstantEnd(fn func()) { e.endFn = fn }
+
+// RequestInstantEnd asks for the instant-end hook to run at the end of the
+// current instant; repeated requests within one instant run it once. Run
+// honours the request before it returns at its horizon — so NextEventAt
+// after Run reflects what the hook did — and Step before it fires an event
+// at a later instant. A Stop (or interrupt) leaves the request pending for
+// the next Run or Step.
+func (e *Engine) RequestInstantEnd() { e.endPending = true }
+
+// endInstant runs the requested instant-end hook if the instant is over:
+// ev, the earliest pending event, lies at a later instant or is nil. It
+// reports whether the hook ran, so the caller re-reads the queue.
+func (e *Engine) endInstant(ev *Event) bool {
+	if ev != nil && ev.at == e.now {
+		return false
+	}
+	e.endPending = false
+	e.endFn()
+	return true
+}
+
 // Step fires the single earliest pending event, advancing the clock to its
-// timestamp. It reports false if no events are pending.
+// timestamp. It reports false if no events are pending. A pending
+// instant-end request runs first when that event lies at a later instant.
 func (e *Engine) Step() bool {
 	ev := e.findMin()
+	if e.endPending && e.endInstant(ev) {
+		ev = e.findMin()
+	}
 	if ev == nil {
 		return false
 	}
@@ -366,6 +403,9 @@ func (e *Engine) Run(until Time) int {
 	e.stopped = false
 	for !e.stopped {
 		ev := e.findMin()
+		if e.endPending && e.endInstant(ev) {
+			continue
+		}
 		if ev == nil || ev.at > until {
 			break
 		}
