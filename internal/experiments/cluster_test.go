@@ -134,11 +134,13 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(wl), len(gl))
 }
 
-// TestClusterWindowCutEquivalenceRandomized sweeps seeds, topologies and
+// TestClusterShardEquivalenceRandomized sweeps seeds, topologies and
 // workloads with faults injected, requiring the run cut at every latency
 // floor (FloorPacing) to reproduce the calendar's run byte-for-byte —
-// timelines, fault logs and traces.
-func TestClusterWindowCutEquivalenceRandomized(t *testing.T) {
+// timelines, fault logs and traces. The name predates the sequential
+// calendar (it once compared shard counts); it is kept so the test's ID
+// stays stable.
+func TestClusterShardEquivalenceRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -257,7 +259,7 @@ func TestClusterPlacementSpansNodes(t *testing.T) {
 }
 
 // TestLookaheadFloorEquivalence is the BT-MZ half of the window-cut sweep
-// (TestClusterWindowCutEquivalenceRandomized covers the other workloads): the
+// (TestClusterShardEquivalenceRandomized covers the other workloads): the
 // lookahead bound only moves window boundaries, so every run — across node
 // counts, topologies and seeds — must be byte-identical to the same run
 // forced onto the clock+floor cadence (Config.FloorPacing), timelines,
