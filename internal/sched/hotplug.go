@@ -39,11 +39,12 @@ func (k *Kernel) OfflineCore(core int) {
 		rq := k.rqs[cpu]
 		// Retire the tick: settle any parked stretch exactly (the replay
 		// must run before the queues below are mutated), then cancel the
-		// periodic event for good. A review the wake (or an earlier one
-		// this instant) requested finds the CPU offline and skips it.
-		if rq.tickParked {
+		// periodic event for good. With no tick left to review, the CPU
+		// drops any review this instant's wakes left it in.
+		if rq.parked() {
 			k.wakeTick(rq)
 		}
+		rq.tick = tickArmed
 		if rq.tickEv != nil {
 			k.Engine.Cancel(rq.tickEv)
 			rq.tickEv = nil
@@ -67,7 +68,7 @@ func (k *Kernel) OfflineCore(core int) {
 			k.account(t)
 			k.unplanBurst(t)
 			rq.current = nil
-			k.tickStateChanged()
+			k.wakeIdleParks(k.rqs)
 			k.Chip.CPU(cpu).SetBusy(false)
 			t.state = StateRunnable
 			k.migrateOff(t)

@@ -298,7 +298,7 @@ func TestIdleBalanceCachePinnedDaemon(t *testing.T) {
 	// Off CPU1's grid (250 µs + n ms), after its first tick parked.
 	spawnAt := 3100 * sim.Microsecond
 	e.Schedule(spawnAt, func() {
-		if !rq1.tickParked {
+		if !rq1.parked() {
 			t.Fatal("CPU1's tick is not parked before the daemon spawns")
 		}
 		parkAt = rq1.tickEv.At()
@@ -315,9 +315,9 @@ func TestIdleBalanceCachePinnedDaemon(t *testing.T) {
 		case StateRunning, StateExited:
 			ran = true
 		}
-		if !rq1.tickParked || rq1.tickEv.At() != parkAt {
+		if !rq1.parked() || rq1.tickEv.At() != parkAt {
 			t.Fatalf("at %v CPU1's tick parked=%v at %v, want parked at %v",
-				e.Now(), rq1.tickParked, rq1.tickEv.At(), parkAt)
+				e.Now(), rq1.parked(), rq1.tickEv.At(), parkAt)
 		}
 		if st := k.Stats(); st.StealScans != 0 || st.StealCacheSkips != 0 {
 			t.Fatalf("at %v: %d steal scans, %d cache skips with only pinned tasks queued",

@@ -75,10 +75,7 @@ func (o Options) withDefaults() Options {
 	if o.TickPeriod <= 0 {
 		o.TickPeriod = d.TickPeriod
 	}
-	if o.ContextSwitchCost < 0 {
-		o.ContextSwitchCost = d.ContextSwitchCost
-	}
-	if o.ContextSwitchCost == 0 {
+	if o.ContextSwitchCost <= 0 {
 		o.ContextSwitchCost = d.ContextSwitchCost
 	}
 	if o.CFSLatency <= 0 {

@@ -10,7 +10,8 @@ import (
 // reviewRun builds a 4-CPU kernel, tickless unless ticking, with a 20 ms
 // task pinned to CPU0 so CPUs 1–3 sit idle with parked ticks; at lets the
 // caller act on the kernel at chosen instants. It returns the fingerprint
-// of the finished run, over every task created.
+// of the finished run, over every task created, and checks the tick state
+// invariants after every event.
 func reviewRun(t *testing.T, ticking bool, at func(e *sim.Engine, k *Kernel)) string {
 	t.Helper()
 	e := sim.NewEngine(5)
@@ -23,6 +24,7 @@ func reviewRun(t *testing.T, ticking bool, at func(e *sim.Engine, k *Kernel)) st
 		func(env *Env) { env.Compute(20 * sim.Millisecond) })
 	k.Watch(solo)
 	at(e, k)
+	checkTickStates(t, k)
 	k.RunUntilWatchedExit(sim.Second)
 	k.Shutdown()
 	return fingerprintOf(k, k.Tasks())
@@ -50,7 +52,7 @@ func TestWakeOnGridRearmsAtOnce(t *testing.T) {
 				return func(e *sim.Engine, k *Kernel) {
 					e.Schedule(c.armedAt, func() {
 						e.Schedule(T, func() {
-							if check && !k.RQ(2).tickParked {
+							if check && !k.RQ(2).parked() {
 								t.Fatal("CPU2's tick is not parked before the wake")
 							}
 							k.Watch(k.AddProcess(TaskSpec{Name: "late", Policy: PolicyNormal},
@@ -59,12 +61,12 @@ func TestWakeOnGridRearmsAtOnce(t *testing.T) {
 								return
 							}
 							rq2 := k.RQ(2)
-							if rq2.tickParked || rq2.tickReview || rq2.tickEv.At() != c.want {
-								t.Errorf("CPU2 on its grid: parked=%v review=%v tick at %v, want re-armed at %v",
-									rq2.tickParked, rq2.tickReview, rq2.tickEv.At(), c.want)
+							if rq2.tick != tickArmed || rq2.tickEv.At() != c.want {
+								t.Errorf("CPU2 on its grid: tick state %d at %v, want re-armed at %v",
+									rq2.tick, rq2.tickEv.At(), c.want)
 							}
 							for _, cpu := range []int{1, 3} {
-								if !k.RQ(cpu).tickReview {
+								if k.RQ(cpu).tick != tickReviewed {
 									t.Errorf("CPU%d, woken off its grid, is not marked for review", cpu)
 								}
 							}
@@ -81,9 +83,9 @@ func TestWakeOnGridRearmsAtOnce(t *testing.T) {
 }
 
 // TestWakeSameInstantAsOffline: a tick woken off its grid in the same
-// instant that OfflineCore removes its CPU has no tick left to review: the
-// review skips it and clears its mark, in either order of the two, and
-// the run matches the always-ticking one.
+// instant that OfflineCore removes its CPU has no tick left to review:
+// OfflineCore clears its mark, in either order of the two, and the run
+// matches the always-ticking one.
 func TestWakeSameInstantAsOffline(t *testing.T) {
 	const X = 5*sim.Millisecond + 300*sim.Microsecond // on no CPU's grid
 	for _, wakeFirst := range []bool{true, false} {
@@ -97,7 +99,7 @@ func TestWakeSameInstantAsOffline(t *testing.T) {
 					e.Schedule(X, func() {
 						if check {
 							for cpu := 2; cpu < 4; cpu++ {
-								if !k.RQ(cpu).tickParked {
+								if !k.RQ(cpu).parked() {
 									t.Fatalf("CPU%d's tick is not parked before the instant", cpu)
 								}
 							}
@@ -108,7 +110,7 @@ func TestWakeSameInstantAsOffline(t *testing.T) {
 						}
 						if wakeFirst {
 							wake()
-							if check && !k.RQ(2).tickReview {
+							if check && k.RQ(2).tick != tickReviewed {
 								t.Error("CPU2, woken off its grid, is not marked for review")
 							}
 						}
@@ -120,13 +122,13 @@ func TestWakeSameInstantAsOffline(t *testing.T) {
 					e.Schedule(X+1, func() {
 						for cpu := 2; cpu < 4; cpu++ {
 							rq := k.RQ(cpu)
-							if rq.tickReview || rq.tickParked || rq.tickEv != nil {
-								t.Errorf("offline CPU%d after the instant: review=%v parked=%v tick=%v",
-									cpu, rq.tickReview, rq.tickParked, rq.tickEv != nil)
+							if rq.tick != tickArmed || rq.tickEv != nil {
+								t.Errorf("offline CPU%d after the instant: tick state %d, event %v",
+									cpu, rq.tick, rq.tickEv != nil)
 							}
 						}
-						if rq1 := k.RQ(1); rq1.tickReview ||
-							!rq1.tickParked && rq1.tickEv.At() != rq1.gridCeil(X) {
+						if rq1 := k.RQ(1); rq1.tick == tickReviewed ||
+							!rq1.parked() && rq1.tickEv.At() != rq1.gridCeil(X) {
 							t.Error("CPU1's tick was neither parked nor re-armed by the review")
 						}
 					})

@@ -18,8 +18,9 @@ import (
 // third of the tasks may run on exactly two CPUs — migratable, but a Steal
 // for any other CPU fails on affinity — every task draws a nice level, and
 // one noise-style daemon is pinned to each CPU (short bursts between
-// sleeps, forever; Shutdown ends them).
-func ticklessFingerprintMix(seed uint64, idle, busy, pairs bool) string {
+// sleeps, forever; Shutdown ends them). Every run also checks the tick
+// state invariants after every event (checkTickStates).
+func ticklessFingerprintMix(t *testing.T, seed uint64, idle, busy, pairs bool) string {
 	e := sim.NewEngine(seed)
 	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
 	opts := DefaultOptions()
@@ -112,9 +113,47 @@ func ticklessFingerprintMix(seed uint64, idle, busy, pairs bool) string {
 		}
 	}
 
+	checkTickStates(t, k)
 	k.RunUntilWatchedExit(2 * sim.Second)
 	k.Shutdown()
 	return fingerprintOf(k, append(tasks, sleepers...))
+}
+
+// checkTickStates makes k's engine check the tick state machine after
+// every event: an idle-parked tick has no running task and a busy-parked
+// one has one; an online CPU has a tick event and an offline one none;
+// and no tick stays reviewed into a later instant — the review count
+// grows, at the first event of each instant, by exactly the number of
+// ticks left reviewed at the last event before it, and within an instant
+// not at all. It only reads state: no RNG draw, no event.
+func checkTickStates(t *testing.T, k *Kernel) {
+	lastAt := sim.Time(-1)
+	var reviewed, reviews int64
+	k.Engine.SetInterrupt(1, func() bool {
+		now := k.Now()
+		n := k.stats.ReviewsKept + k.stats.ReviewsMoved + k.stats.ReviewsRearmed
+		want := reviews
+		if now != lastAt {
+			want += reviewed
+		}
+		if n != want {
+			t.Fatalf("at %v: %d reviews, want %d (%d ticks were left reviewed at %v)",
+				now, n, want, reviewed, lastAt)
+		}
+		lastAt, reviews, reviewed = now, n, 0
+		for _, rq := range k.rqs {
+			switch {
+			case rq.tick == tickIdleParked && rq.current != nil,
+				rq.tick == tickBusyParked && rq.current == nil:
+				t.Fatalf("at %v CPU%d: tick state %d with running task %v", now, rq.CPU, rq.tick, rq.current)
+			case rq.offline != (rq.tickEv == nil):
+				t.Fatalf("at %v CPU%d: offline %v with tick event %v", now, rq.CPU, rq.offline, rq.tickEv != nil)
+			case rq.tick == tickReviewed:
+				reviewed++
+			}
+		}
+		return false
+	})
 }
 
 // fingerprintOf renders every externally observable per-task and per-CPU
@@ -150,7 +189,7 @@ func TestTicklessTimelineEquivalence(t *testing.T) {
 // ticklessFingerprintMix at seed matches the always-ticking run, logging
 // the first divergence.
 func ticklessEquivalent(t *testing.T, seed uint64, pairs bool) bool {
-	ticking := ticklessFingerprintMix(seed, false, false, pairs)
+	ticking := ticklessFingerprintMix(t, seed, false, false, pairs)
 	for _, c := range []struct {
 		name       string
 		idle, busy bool
@@ -159,7 +198,7 @@ func ticklessEquivalent(t *testing.T, seed uint64, pairs bool) bool {
 		{"busy", false, true},
 		{"idle+busy", true, true},
 	} {
-		if got := ticklessFingerprintMix(seed, c.idle, c.busy, pairs); got != ticking {
+		if got := ticklessFingerprintMix(t, seed, c.idle, c.busy, pairs); got != ticking {
 			t.Logf("seed %d diverged under tickless %s:\n--- tickless ---\n%s--- ticking ---\n%s",
 				seed, c.name, got, ticking)
 			return false

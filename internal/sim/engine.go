@@ -314,24 +314,20 @@ func (e *Engine) findMin() *Event {
 	return ev
 }
 
-// PeekNext returns the time of the earliest pending event, or MaxTime if
-// nothing is pending.
-func (e *Engine) PeekNext() Time {
+// NextEventAt reports the earliest instant at which this engine can next
+// act: the minimum pending deadline across both tiers (wheel minimum,
+// heap top), or MaxTime when the engine is drained. It is the
+// conservative-lookahead probe for PDES pacing (internal/cluster): between
+// events every rank body is parked in a blocking call with its
+// deferred-step queue flushed, so any future cross-engine send must
+// originate from an event at or after this instant. Cost is a bitmap scan
+// of the wheel's lowest occupied level plus a direct load of the heap top.
+func (e *Engine) NextEventAt() Time {
 	if ev := e.findMin(); ev != nil {
 		return ev.at
 	}
 	return MaxTime
 }
-
-// NextEventAt reports the earliest instant at which this engine can next
-// act: the minimum pending deadline across both tiers (wheel memoized
-// minimum, heap top), or MaxTime when the engine is drained. It is the conservative-lookahead probe for PDES pacing
-// (internal/cluster): between events every rank body is parked in a
-// blocking call with its deferred-step queue flushed, so any future
-// cross-engine send must originate from an event at or after this
-// instant. Cost is O(1) — the wheel minimum is memoized and the heap top
-// is a direct load.
-func (e *Engine) NextEventAt() Time { return e.PeekNext() }
 
 // fire removes ev (the global minimum) from its tier, advances the clock
 // and the wheel reference to its deadline, and runs the callback.

@@ -204,12 +204,12 @@ func TestAfterNegativePanics(t *testing.T) {
 
 func TestPeekNext(t *testing.T) {
 	e := NewEngine(1)
-	if e.PeekNext() != MaxTime {
-		t.Fatal("PeekNext on empty queue should be MaxTime")
+	if e.NextEventAt() != MaxTime {
+		t.Fatal("NextEventAt on empty queue should be MaxTime")
 	}
 	e.Schedule(42, func() {})
-	if e.PeekNext() != 42 {
-		t.Fatalf("PeekNext = %v, want 42", e.PeekNext())
+	if e.NextEventAt() != 42 {
+		t.Fatalf("NextEventAt = %v, want 42", e.NextEventAt())
 	}
 }
 

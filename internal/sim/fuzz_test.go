@@ -11,7 +11,9 @@ import (
 // callback, parks far ahead and wakes back onto a grid, cancels (of
 // pending events, of the firing event itself, of an event re-armed from
 // its own callback) and events left to die — and checks every firing
-// against a reference model that pops the pending minimum by (at, seq).
+// against a reference model that pops the pending minimum by (at, seq),
+// and NextEventAt after every operation against the model's earliest
+// pending deadline.
 // The corpus seeds are byte streams drawn from the seeds of
 // TestWheelDeterminismVsPureHeap and TestHeapStressVsReference (7) and of
 // the engine in every test (1).
@@ -114,6 +116,17 @@ func checkEventStore(t *testing.T, data []byte) {
 		}
 		return best
 	}
+	// checkNext holds NextEventAt — the cluster calendar's probe — to the
+	// model's earliest pending deadline.
+	checkNext := func() {
+		want := MaxTime
+		if m := minPending(); m != nil {
+			want = m.at
+		}
+		if got := e.NextEventAt(); got != want {
+			t.Fatalf("NextEventAt() = %v, the model's earliest pending deadline is %v", got, want)
+		}
+	}
 	// deadline decodes an absolute deadline: a distance from now, or the
 	// deadline of a pending event, whichever tier that event sits in.
 	deadline := func() Time {
@@ -183,6 +196,7 @@ func checkEventStore(t *testing.T, data []byte) {
 				}
 				rearm(x, now+x.period)
 			}
+			checkNext()
 		})
 		seq++
 		x.seq, x.pending = seq, true
@@ -209,8 +223,10 @@ func checkEventStore(t *testing.T, data []byte) {
 		if n := len(pendingEvents()); e.Pending() != n {
 			t.Fatalf("Pending() = %d, model has %d", e.Pending(), n)
 		}
+		checkNext()
 	}
 	for e.Step() {
+		checkNext()
 	}
 	if n := len(pendingEvents()); n != 0 || e.Pending() != 0 {
 		t.Fatalf("drained engine with %d pending in the model, Pending() = %d", n, e.Pending())

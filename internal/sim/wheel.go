@@ -70,16 +70,6 @@ type timerWheel struct {
 	time   Time
 	count  int
 	levels [wheelLevels]wheelLevel
-
-	// cachedMin memoizes min(). A pop removes the minimum and so clears
-	// the cache; it pays off when the minimum is asked for again before
-	// the next pop — the cluster calendar's NextEventAt probes, which
-	// make about half of a 16-node run's min() calls hits (the paper
-	// tables, which pop without probing, hit almost never). insert keeps
-	// the cache exact in O(1); removing the cached event invalidates it
-	// (nil), and cascades move events between levels without changing the
-	// set, so advance leaves the cache alone.
-	cachedMin *Event
 }
 
 // eventLess orders events by (at, seq) — the engine's firing order.
@@ -116,9 +106,6 @@ func (w *timerWheel) insert(ev *Event) {
 // insertDiff is insert with the XOR distance already computed (the engine's
 // routing check needs it anyway).
 func (w *timerWheel) insertDiff(ev *Event, diff uint64) {
-	if w.cachedMin != nil && eventLess(ev, w.cachedMin) {
-		w.cachedMin = ev
-	}
 	l := levelFor(diff)
 	s := int(ev.at>>wheelShift(l)) & wheelMask
 	lv := &w.levels[l]
@@ -152,9 +139,6 @@ func (w *timerWheel) insertDiff(ev *Event, diff uint64) {
 // and the pop path — where ev is the slot head and the walk ends
 // immediately).
 func (w *timerWheel) remove(ev *Event) {
-	if ev == w.cachedMin {
-		w.cachedMin = nil
-	}
 	l := int(ev.slot) >> wheelBits
 	s := int(ev.slot) & wheelMask
 	lv := &w.levels[l]
@@ -201,16 +185,6 @@ func (w *timerWheel) min() *Event {
 	if w.count == 0 {
 		return nil
 	}
-	if w.cachedMin != nil {
-		return w.cachedMin
-	}
-	w.cachedMin = w.scanMin()
-	return w.cachedMin
-}
-
-// scanMin recomputes the wheel minimum from the bitmaps (the cache-miss
-// path of min).
-func (w *timerWheel) scanMin() *Event {
 	// Fast path: an event scheduled for (or near) the current instant — a
 	// scheduling pass at Now, a delivery a few µs out — sits in level 0
 	// under the cursor itself.
