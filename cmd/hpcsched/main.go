@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"hpcsched/internal/calibrate"
 	"hpcsched/internal/experiments"
@@ -329,25 +328,6 @@ func runFigure(cmd string, args []string) {
 	}
 }
 
-func modeFromName(s string) (experiments.Mode, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "cfs":
-		return experiments.ModeBaseline, nil
-	case "static":
-		return experiments.ModeStatic, nil
-	case "uniform":
-		return experiments.ModeUniform, nil
-	case "adaptive":
-		return experiments.ModeAdaptive, nil
-	case "hybrid":
-		return experiments.ModeHybrid, nil
-	case "policy-only", "hpconly":
-		return experiments.ModeHPCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
 func runOne(args []string) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	wl := fs.String("workload", "metbench", "workload name")
@@ -360,7 +340,7 @@ func runOne(args []string) {
 	var fv faults.FlagValue
 	fs.Var(&fv, "faults", `fault-injection spec, e.g. "slow:n=2,factor=0.5;loss" (empty = none)`)
 	parseFlags(fs, args)
-	mode, err := modeFromName(*modeName)
+	mode, err := experiments.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)

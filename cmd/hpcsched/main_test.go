@@ -13,9 +13,9 @@ func TestModeFromName(t *testing.T) {
 		"adaptive": true, "hybrid": true, "policy-only": true, "hpconly": true,
 		"UNIFORM": true, "bogus": false,
 	} {
-		_, err := modeFromName(name)
+		_, err := experiments.ParseMode(name)
 		if (err == nil) != ok {
-			t.Errorf("modeFromName(%q) err=%v, want ok=%v", name, err, ok)
+			t.Errorf("ParseMode(%q) err=%v, want ok=%v", name, err, ok)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/sim"
@@ -51,22 +50,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mode experiments.Mode
-	switch strings.ToLower(*modeName) {
-	case "baseline", "cfs":
-		mode = experiments.ModeBaseline
-	case "static":
-		mode = experiments.ModeStatic
-	case "uniform":
-		mode = experiments.ModeUniform
-	case "adaptive":
-		mode = experiments.ModeAdaptive
-	case "hybrid":
-		mode = experiments.ModeHybrid
-	case "policy-only", "hpconly":
-		mode = experiments.ModeHPCOnly
-	default:
-		fmt.Fprintf(stderr, "unknown mode %q\n", *modeName)
+	mode, err := experiments.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	cfg := experiments.Config{Workload: *wl, Mode: mode, Seed: *seed, Trace: true}

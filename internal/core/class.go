@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"hpcsched/internal/ring"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 )
@@ -118,7 +119,7 @@ func (c *HPCClass) Policies() []sched.Policy { return hpcPolicies }
 
 // NewRQ implements sched.Class.
 func (c *HPCClass) NewRQ(k *sched.Kernel, cpu int) sched.ClassRQ {
-	rq := &hpcRQ{class: c, k: k, cpu: cpu, ring: make([]*sched.Task, initialRingCap)}
+	rq := &hpcRQ{class: c, k: k, cpu: cpu, q: ring.New[*sched.Task](initialRingCap)}
 	for len(c.rqs) <= cpu {
 		c.rqs = append(c.rqs, nil)
 	}
@@ -247,88 +248,38 @@ func (c *HPCClass) String() string {
 // hpcRQ is the per-CPU HPC run queue: a plain round-robin list — "with
 // this small number of processes in the run queue list, a simple
 // round-robin list is as good as a more complex red-black tree" (§IV-A) —
-// kept as a flat power-of-two ring, so enqueue/pick never shift or
-// reallocate in steady state. The RR quantum lives on the task's LIDState
-// (tagged with the owning queue), replacing the old per-queue map.
+// kept as a ring.Queue, so enqueue/pick never shift or reallocate in
+// steady state. The RR quantum lives on the task's LIDState (tagged with
+// the owning queue), replacing the old per-queue map.
 type hpcRQ struct {
 	class *HPCClass
 	k     *sched.Kernel
 	cpu   int
-	ring  []*sched.Task // power-of-two capacity circular buffer
-	head  int
-	n     int
+	q     ring.Queue[*sched.Task]
 }
 
 // initialRingCap pre-sizes each per-CPU ring for the paper's workloads
 // (one rank per context plus stragglers) without growth.
 const initialRingCap = 8
 
-// at returns the i-th queued task (0 = head).
-func (rq *hpcRQ) at(i int) *sched.Task {
-	return rq.ring[(rq.head+i)&(len(rq.ring)-1)]
-}
-
-// set stores t at logical position i.
-func (rq *hpcRQ) set(i int, t *sched.Task) {
-	rq.ring[(rq.head+i)&(len(rq.ring)-1)] = t
-}
-
-// grow doubles the ring, re-laying the queue from the head.
-func (rq *hpcRQ) grow() {
-	capNow := len(rq.ring)
-	if capNow == 0 {
-		capNow = initialRingCap / 2
-	}
-	nr := make([]*sched.Task, capNow*2)
-	for i := 0; i < rq.n; i++ {
-		nr[i] = rq.at(i)
-	}
-	rq.ring = nr
-	rq.head = 0
-}
-
-// removeAt deletes the task at logical position i, shifting the shorter
-// side of the ring to close the gap (queue order preserved).
-func (rq *hpcRQ) removeAt(i int) {
-	if i < rq.n-i-1 {
-		// Shift the head side forward.
-		for j := i; j > 0; j-- {
-			rq.set(j, rq.at(j-1))
-		}
-		rq.set(0, nil)
-		rq.head = (rq.head + 1) & (len(rq.ring) - 1)
-	} else {
-		// Shift the tail side back.
-		for j := i; j < rq.n-1; j++ {
-			rq.set(j, rq.at(j+1))
-		}
-		rq.set(rq.n-1, nil)
-	}
-	rq.n--
-}
-
 // Enqueue implements sched.ClassRQ. Both wakeups and requeues go to the
 // tail (the paper's RR semantics: an expired task is placed at the end).
 func (rq *hpcRQ) Enqueue(t *sched.Task, wakeup bool) {
-	for i := 0; i < rq.n; i++ {
-		if rq.at(i) == t {
+	for i := 0; i < rq.q.Len(); i++ {
+		if rq.q.At(i) == t {
 			panic("core: HPC double enqueue")
 		}
 	}
-	if rq.n == len(rq.ring) {
-		rq.grow()
-	}
-	rq.set(rq.n, t)
-	rq.n++
+	rq.q.Push(t)
 	// The very first enqueue opens the detector's tracking window.
 	lidStateOf(t).beginTracking(rq.k.Now(), t.SumExec)
 }
 
 // Dequeue implements sched.ClassRQ.
 func (rq *hpcRQ) Dequeue(t *sched.Task) {
-	for i := 0; i < rq.n; i++ {
-		if rq.at(i) == t {
-			rq.removeAt(i)
+	for i := 0; i < rq.q.Len(); i++ {
+		if rq.q.At(i) == t {
+			rq.q.RemoveAt(i)
 			return
 		}
 	}
@@ -350,13 +301,10 @@ func (rq *hpcRQ) rrStateFor(t *sched.Task) *LIDState {
 
 // PickNext implements sched.ClassRQ.
 func (rq *hpcRQ) PickNext() *sched.Task {
-	if rq.n == 0 {
+	t, ok := rq.q.Pop()
+	if !ok {
 		return nil
 	}
-	t := rq.ring[rq.head]
-	rq.ring[rq.head] = nil
-	rq.head = (rq.head + 1) & (len(rq.ring) - 1)
-	rq.n--
 	if rq.class.disc == DisciplineRR {
 		s := rq.rrStateFor(t)
 		if s.rrSlice <= 0 {
@@ -374,19 +322,19 @@ func (rq *hpcRQ) Tick(t *sched.Task) {
 	}
 	s := rq.rrStateFor(t)
 	s.rrSlice -= rq.k.Opts.TickPeriod
-	if s.rrSlice <= 0 && rq.n > 0 {
+	if s.rrSlice <= 0 && rq.q.Len() > 0 {
 		s.rrSlice = 0
 		rq.k.Resched(rq.cpu)
 	}
 }
 
 // TickNoops implements sched.TickHorizon. FIFO never reschedules from the
-// tick; with an empty queue the RR clause (rq.n > 0) cannot fire either —
-// the quantum then merely drifts negative, bookkeeping ElideTicks
+// tick; with an empty queue the RR clause (Tick's queue check) cannot fire
+// either — the quantum then merely drifts negative, bookkeeping ElideTicks
 // reproduces exactly. Otherwise the quantum reaches zero after an
 // exactly computable number of per-period decrements.
 func (rq *hpcRQ) TickNoops(t *sched.Task) int {
-	if rq.class.disc != DisciplineRR || rq.n == 0 {
+	if rq.class.disc != DisciplineRR || rq.q.Len() == 0 {
 		return tickNoopsForever
 	}
 	s := rq.rrStateFor(t)
@@ -416,7 +364,7 @@ const tickNoopsForever = int(^uint32(0) >> 1)
 func (rq *hpcRQ) CheckPreempt(curr, woken *sched.Task) bool { return false }
 
 // Len implements sched.ClassRQ.
-func (rq *hpcRQ) Len() int { return rq.n }
+func (rq *hpcRQ) Len() int { return rq.q.Len() }
 
 // Steal implements sched.ClassRQ: the HPC workload balancer's pull path —
 // an idle (or HPC-empty) CPU pulls a queued, non-cache-hot HPC task,
@@ -424,10 +372,10 @@ func (rq *hpcRQ) Len() int { return rq.n }
 func (rq *hpcRQ) Steal(dstCPU int) *sched.Task {
 	// Hotness is checked through BalanceCacheHot so a failed pass feeds the
 	// kernel's idle-balance negative-result cache.
-	for i := 0; i < rq.n; i++ {
-		t := rq.at(i)
+	for i := 0; i < rq.q.Len(); i++ {
+		t := rq.q.At(i)
 		if t.MayRunOn(dstCPU) && !rq.k.BalanceCacheHot(t) {
-			rq.removeAt(i)
+			rq.q.RemoveAt(i)
 			return t
 		}
 	}

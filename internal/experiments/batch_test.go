@@ -11,7 +11,7 @@ import (
 // real simulations: the same configs produce identical, submission-
 // ordered results at any worker count.
 func TestRunBatchOrderedAndDeterministic(t *testing.T) {
-	cfgs := ReplicaConfigs("metbench", DefaultSeeds(2))
+	cfgs := tableGrid("metbench", DefaultSeeds(2))
 	var want []Result
 	for _, w := range []int{1, 4} {
 		results, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{Workers: w})
@@ -68,7 +68,7 @@ func TestRunTableStatsWorkerInvariant(t *testing.T) {
 }
 
 func TestRunBatchProgressAndCancellation(t *testing.T) {
-	cfgs := ReplicaConfigs("metbench", DefaultSeeds(1))
+	cfgs := tableGrid("metbench", DefaultSeeds(1))
 	var calls []int
 	results, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{
 		Workers:  2,
@@ -98,8 +98,13 @@ func TestRunBatchProgressAndCancellation(t *testing.T) {
 	}
 }
 
+// tableGrid is a workload table's (seed × mode) replica grid.
+func tableGrid(workload string, seeds []uint64) []Config {
+	return ScenarioSpec{Workload: workload, Seeds: seeds, Modes: TableModes(workload)}.Configs()
+}
+
 func TestReplicaConfigsAndSeedsFrom(t *testing.T) {
-	cfgs := ReplicaConfigs("siesta", []uint64{1, 2})
+	cfgs := tableGrid("siesta", []uint64{1, 2})
 	modes := TableModes("siesta")
 	if len(cfgs) != 2*len(modes) {
 		t.Fatalf("grid size = %d", len(cfgs))
@@ -107,8 +112,8 @@ func TestReplicaConfigsAndSeedsFrom(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		for i, m := range modes {
 			c := cfgs[s*len(modes)+i]
-			if c.Mode != m || c.Seed != uint64(s+1) || c.Workload != "siesta" {
-				t.Fatalf("cell (%d,%d) = %+v", s, i, c)
+			if want := (Config{Workload: "siesta", Mode: m, Seed: uint64(s + 1)}); !reflect.DeepEqual(c, want) {
+				t.Fatalf("cell (%d,%d) = %+v, want %+v", s, i, c, want)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"hpcsched/internal/core"
@@ -57,6 +58,28 @@ func (m Mode) String() string {
 		return "HPC-policy-only"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
+	}
+}
+
+// ParseMode maps a command-line mode name, in any case, to its Mode:
+// baseline (or cfs), static, uniform, adaptive, hybrid and policy-only (or
+// hpconly).
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "baseline", "cfs":
+		return ModeBaseline, nil
+	case "static":
+		return ModeStatic, nil
+	case "uniform":
+		return ModeUniform, nil
+	case "adaptive":
+		return ModeAdaptive, nil
+	case "hybrid":
+		return ModeHybrid, nil
+	case "policy-only", "hpconly":
+		return ModeHPCOnly, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
 	}
 }
 

@@ -94,8 +94,8 @@ func TestInboxRingMatchesMapSemantics(t *testing.T) {
 					op, src, got, ok, want, wantOK)
 			}
 		}
-		if r.ibLen != ref.len() {
-			t.Fatalf("op %d: ring holds %d messages, reference %d", op, r.ibLen, ref.len())
+		if r.inbox.Len() != ref.len() {
+			t.Fatalf("op %d: ring holds %d messages, reference %d", op, r.inbox.Len(), ref.len())
 		}
 	}
 	// Drain completely: every remaining message must match.
@@ -111,8 +111,8 @@ func TestInboxRingMatchesMapSemantics(t *testing.T) {
 			}
 		}
 	}
-	if r.ibLen != 0 || ref.len() != 0 {
-		t.Fatalf("leftovers: ring %d, reference %d", r.ibLen, ref.len())
+	if r.inbox.Len() != 0 || ref.len() != 0 {
+		t.Fatalf("leftovers: ring %d, reference %d", r.inbox.Len(), ref.len())
 	}
 }
 

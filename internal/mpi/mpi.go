@@ -26,6 +26,7 @@ package mpi
 import (
 	"fmt"
 
+	"hpcsched/internal/ring"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 )
@@ -196,7 +197,7 @@ func NewWorld(k *sched.Kernel, size int, opts Options) *World {
 			id:     i,
 			kernel: k,
 			ns:     w.nodes[0],
-			inbox:  make([]message, initialInboxCap),
+			inbox:  ring.New[message](initialInboxCap),
 		}
 		// Pre-bind the fused-wait checks once per rank: the hot blocking
 		// paths then hand the kernel an existing closure, never allocating.
@@ -243,14 +244,6 @@ func (w *World) SetNodeExtraDelay(node int, d sim.Time) {
 	w.nodes[node].extraDelay = d
 }
 
-// NodeExtraDelay returns the given node's current latency add-on.
-func (w *World) NodeExtraDelay(node int) sim.Time {
-	if node < 0 || node >= len(w.nodes) {
-		node = 0
-	}
-	return w.nodes[node].extraDelay
-}
-
 // SetPairExtraDelay adds a fixed latency to every message from rank src to
 // rank dst — the per-rank-pair half of the latency model (topological
 // distance). It composes additively with the per-node extraDelay, so an
@@ -276,23 +269,6 @@ func (w *World) PairExtraDelay(src, dst int) sim.Time {
 		return 0
 	}
 	return w.pairExtra[src*len(w.ranks)+dst]
-}
-
-// MinPairExtraDelay returns the smallest add-on over the given rank pairs
-// (the lookahead-floor contribution of the topology). pairs is a list of
-// (src, dst) index pairs; an empty list returns 0.
-func (w *World) MinPairExtraDelay(pairs [][2]int) sim.Time {
-	if len(pairs) == 0 {
-		return 0
-	}
-	min := sim.MaxTime
-	for _, p := range pairs {
-		d := w.PairExtraDelay(p[0], p[1])
-		if d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // MsgCount returns the number of messages sent, summed over nodes. Read it
@@ -470,10 +446,8 @@ type Rank struct {
 	node   int
 	ns     *nodeState // transport state of the node this rank runs on
 
-	// inbox is a ring of undelivered messages in arrival order.
-	inbox  []message
-	ibHead int
-	ibLen  int
+	// inbox holds the undelivered messages in arrival order.
+	inbox ring.Queue[message]
 
 	// waiting holds the keys the rank is blocked on in Recv/Waitall
 	// (empty when not blocked); pending is Waitall's scratch. Both reuse
@@ -582,41 +556,6 @@ func (r *Rank) Isend(dst, tag int, size int64) Request {
 	return Request{done: true}
 }
 
-// ibAt returns the i-th buffered message (0 = oldest).
-func (r *Rank) ibAt(i int) *message {
-	return &r.inbox[(r.ibHead+i)&(len(r.inbox)-1)]
-}
-
-// ibPush appends m to the inbox ring, doubling it when full.
-func (r *Rank) ibPush(m message) {
-	if r.ibLen == len(r.inbox) {
-		nb := make([]message, len(r.inbox)*2)
-		for i := 0; i < r.ibLen; i++ {
-			nb[i] = *r.ibAt(i)
-		}
-		r.inbox = nb
-		r.ibHead = 0
-	}
-	*r.ibAt(r.ibLen) = m
-	r.ibLen++
-}
-
-// ibRemove deletes the message at logical position i, shifting the
-// shorter side of the ring (arrival order preserved).
-func (r *Rank) ibRemove(i int) {
-	if i < r.ibLen-i-1 {
-		for j := i; j > 0; j-- {
-			*r.ibAt(j) = *r.ibAt(j - 1)
-		}
-		r.ibHead = (r.ibHead + 1) & (len(r.inbox) - 1)
-	} else {
-		for j := i; j < r.ibLen-1; j++ {
-			*r.ibAt(j) = *r.ibAt(j + 1)
-		}
-	}
-	r.ibLen--
-}
-
 // Deliver injects a message into the rank's inbox, waking the rank if it is
 // blocked on a matching receive. It is the router's target-side entry point
 // and MUST run on the rank's own engine at the message's stamped arrival
@@ -627,7 +566,7 @@ func (r *Rank) Deliver(src, tag int, size int64) {
 
 // deliver runs on the engine side when a message arrives.
 func (r *Rank) deliver(m message) {
-	r.ibPush(m)
+	r.inbox.Push(m)
 	if len(r.waiting) == 0 {
 		return
 	}
@@ -646,28 +585,25 @@ func (r *Rank) deliver(m message) {
 // implementation used).
 func (r *Rank) take(src, tag int) (message, bool) {
 	if tag != AnyTag {
-		for i := 0; i < r.ibLen; i++ {
-			m := r.ibAt(i)
-			if m.src == src && m.tag == tag {
-				taken := *m
-				r.ibRemove(i)
-				return taken, true
+		for i := 0; i < r.inbox.Len(); i++ {
+			if m := r.inbox.At(i); m.src == src && m.tag == tag {
+				r.inbox.RemoveAt(i)
+				return m, true
 			}
 		}
 		return message{}, false
 	}
 	best := -1
-	for i := 0; i < r.ibLen; i++ {
-		m := r.ibAt(i)
-		if m.src == src && (best < 0 || m.tag < r.ibAt(best).tag) {
-			best = i
+	var taken message
+	for i := 0; i < r.inbox.Len(); i++ {
+		if m := r.inbox.At(i); m.src == src && (best < 0 || m.tag < taken.tag) {
+			best, taken = i, m
 		}
 	}
 	if best < 0 {
 		return message{}, false
 	}
-	taken := *r.ibAt(best)
-	r.ibRemove(best)
+	r.inbox.RemoveAt(best)
 	return taken, true
 }
 

@@ -66,7 +66,4 @@ func TestPairExtraIsDirectional(t *testing.T) {
 	if d := w.PairExtraDelay(0, 1); d != 5*sim.Millisecond {
 		t.Errorf("forward pair delay = %v, want 5ms", d)
 	}
-	if d := w.MinPairExtraDelay([][2]int{{0, 1}, {1, 0}}); d != 0 {
-		t.Errorf("min over both directions = %v, want 0", d)
-	}
 }

@@ -234,7 +234,9 @@ func runIdleImbalance() uint64 {
 }
 
 func runBatchMetBench() uint64 {
-	cfgs := experiments.ReplicaConfigs("metbench", experiments.SeedsFrom(42, 8))
+	cfgs := experiments.ScenarioSpec{
+		Workload: "metbench", Seeds: experiments.SeedsFrom(42, 8), Modes: experiments.TableModes("metbench"),
+	}.Configs()
 	results, _, _, err := experiments.RunConfigs(context.Background(), cfgs, experiments.ExecOptions{})
 	if err != nil {
 		panic(err)

@@ -11,7 +11,6 @@ import (
 // the proc.Request interface does not allocate, while boxing a value struct
 // would cost one heap allocation per simulated request.
 type (
-	computeReq  struct{ d sim.Time }
 	yieldReq    struct{}
 	setSchedReq struct {
 		policy Policy
@@ -25,8 +24,7 @@ type (
 type stepKind uint8
 
 const (
-	// stepCompute adds d of work to the task's current burst, exactly like
-	// a computeReq.
+	// stepCompute adds d of work to the task's current burst.
 	stepCompute stepKind = iota
 	// stepAfter schedules fn on the engine d after the virtual instant the
 	// step is reached — i.e. after every earlier step in the batch has
@@ -105,21 +103,19 @@ type Env struct {
 	kernel *Kernel
 	task   *Task
 
-	// batch holds deferred steps between flushes; batchRq is the reusable
-	// request that carries it (lazily allocated: non-batching processes —
-	// daemons, plain workloads — never pay for it). waitRq carries fused
-	// waits (InvokeWait). enginePush marks that the pump is running a
-	// WaitCheck on this Env: pushes then grow the buffer instead of
-	// flushing, since the engine must never rendezvous with itself.
+	// batch holds deferred steps between flushes, allocated by the first
+	// push; batchRq is the reusable request that carries it. waitRq
+	// carries fused waits (InvokeWait). enginePush marks that the pump is
+	// running a WaitCheck on this Env: pushes then grow the buffer instead
+	// of flushing, since the engine must never rendezvous with itself.
 	batch      []batchStep
 	batchRq    batchReq
 	waitRq     waitReq
 	enginePush bool
 
 	// Reusable request scratch, one per request type (zero allocations per
-	// system call in steady state). Sleeps and blocks have no scratch: they
-	// travel as steps of the deferred batch.
-	creq    computeReq
+	// system call in steady state). Computes, sleeps and blocks have no
+	// scratch: they travel as steps of the deferred batch.
 	yreq    yieldReq
 	schedRq setSchedReq
 	niceRq  setNiceReq
@@ -141,8 +137,8 @@ func (e *Env) Now() sim.Time {
 }
 
 // DeferCompute queues d nanoseconds of work without yielding to the kernel.
-// The work is executed — indistinguishably from a plain Compute — when the
-// batch is flushed.
+// The work is executed when the batch is flushed; Compute is DeferCompute
+// plus Flush.
 func (e *Env) DeferCompute(d sim.Time) {
 	if d < 0 {
 		panic("sched: DeferCompute with negative duration")
@@ -198,16 +194,8 @@ func (e *Env) Flush() {
 // virtual time depends on scheduling and on the hardware priorities of the
 // core's two contexts.
 func (e *Env) Compute(d sim.Time) {
-	if d < 0 {
-		panic("sched: Compute with negative duration")
-	}
-	if len(e.batch) > 0 {
-		e.DeferCompute(d)
-		e.Flush()
-		return
-	}
-	e.creq.d = d
-	e.h.Invoke(&e.creq)
+	e.DeferCompute(d)
+	e.Flush()
 }
 
 // Sleep blocks the process for d of virtual time. The sleep rides the

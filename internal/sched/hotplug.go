@@ -63,13 +63,10 @@ func (k *Kernel) OfflineCore(core int) {
 	}
 	for cpu := base; cpu <= base+1; cpu++ {
 		rq := k.rqs[cpu]
-		// Evacuate the running task.
+		// Evacuate the running task. The tick is retired above, so
+		// vacate's busy-park settle has nothing to do.
 		if t := rq.current; t != nil {
-			k.account(t)
-			k.unplanBurst(t)
-			rq.current = nil
-			k.wakeIdleParks(k.rqs)
-			k.Chip.CPU(cpu).SetBusy(false)
+			k.vacate(t)
 			t.state = StateRunnable
 			k.migrateOff(t)
 		}

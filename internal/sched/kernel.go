@@ -514,13 +514,7 @@ func (k *Kernel) deactivate(t *Task) {
 	if t.state != StateRunning {
 		panic(fmt.Sprintf("sched: deactivate of non-running task %v", t))
 	}
-	k.wakeBusyParked(k.rqs[t.CPU]) // the running task is leaving
-	k.account(t)
-	k.unplanBurst(t)
-	rq := k.rqs[t.CPU]
-	rq.current = nil
-	k.wakeIdleParks(k.rqs)
-	k.Chip.CPU(t.CPU).SetBusy(false)
+	k.vacate(t)
 	t.state = StateSleeping
 	t.class.TaskSleep(k, t)
 	k.traceState(t, StateSleeping, t.CPU)
@@ -538,13 +532,7 @@ func (k *Kernel) Wake(t *Task) {
 
 // exit finishes the current task of a CPU.
 func (k *Kernel) exit(t *Task) {
-	k.wakeBusyParked(k.rqs[t.CPU]) // the running task is leaving
-	k.account(t)
-	k.unplanBurst(t)
-	rq := k.rqs[t.CPU]
-	rq.current = nil
-	k.wakeIdleParks(k.rqs)
-	k.Chip.CPU(t.CPU).SetBusy(false)
+	k.vacate(t)
 	t.state = StateExited
 	t.ExitedAt = k.Now()
 	k.traceState(t, StateExited, t.CPU)
@@ -556,6 +544,25 @@ func (k *Kernel) exit(t *Task) {
 		}
 	}
 	k.Resched(t.CPU)
+}
+
+// vacate takes the running task t off its CPU, leaving the CPU with no
+// current task and t's state for the caller to set. Every off-CPU
+// transition — sleep, exit, active migration, hotplug evacuation — goes
+// through it, in this order: settle a busy-parked tick while t still runs
+// (its horizon assumed t on the CPU), account t's on-CPU time, settle and
+// cancel its burst plan, clear current, wake the idle parks — before the
+// caller's Resched, so a tick woken on its grid keeps its place ahead of
+// the pass (see wakeIdleParks) — and only then mark the context idle,
+// whose speed hook replans the sibling's burst.
+func (k *Kernel) vacate(t *Task) {
+	rq := k.rqs[t.CPU]
+	k.wakeBusyParked(rq)
+	k.account(t)
+	k.unplanBurst(t)
+	rq.current = nil
+	k.wakeIdleParks(k.rqs)
+	k.Chip.CPU(t.CPU).SetBusy(false)
 }
 
 // noteEnqueued/noteDequeued maintain the cached queued-task counters.
@@ -588,9 +595,8 @@ func (k *Kernel) noteDequeued(rq *RunQueue, t *Task) {
 // BalanceCacheHot reports whether t is too cache-hot for the load balancer
 // to migrate, recording the earliest instant it will cool so a failed
 // idle-balance pass knows when a rescan can first change its outcome.
-// Steal implementations must use it — rather than Task.CacheHot directly —
-// when rejecting a candidate for hotness, or the negative-result cache
-// would skip a scan that could now succeed.
+// Steal implementations must reject every hot candidate through it, or the
+// negative-result cache would skip a scan that could now succeed.
 func (k *Kernel) BalanceCacheHot(t *Task) bool {
 	cold := t.queuedAt + k.Opts.MigrationCost
 	if k.Now() >= cold {
@@ -881,13 +887,6 @@ func (k *Kernel) pump(cpu int) {
 // issue further requests at this instant).
 func (k *Kernel) handleRequest(rq *RunQueue, t *Task, req proc.Request) bool {
 	switch r := req.(type) {
-	case *computeReq:
-		if r.d < 0 {
-			panic("sched: negative compute duration")
-		}
-		t.remaining += float64(r.d)
-		t.needsResume = true
-		return true
 	case *batchReq:
 		// A batched exchange: stash the steps; the pump drains them without
 		// further rendezvous. The body stays parked until the last step
@@ -1005,20 +1004,21 @@ func (k *Kernel) planBurst(rq *RunQueue, t *Task) {
 	}
 	ctx := k.Chip.CPU(rq.CPU)
 	ctx.SetBusy(true) // may fire the speed hook for the sibling
-	whenBusy, whenIdle := ctx.SpeedPair()
-	speed := whenIdle
-	if ctx.Sibling().Busy() {
-		speed = whenBusy
-	}
+	t.planAt = k.Now()
+	t.planSpeed = ctx.Speed()
+	t.finishEv = k.Engine.After(rq.burstDelay(t.remaining, t.planSpeed), t.burstFn)
+}
+
+// burstDelay returns how long remaining work takes at speed on rq's CPU,
+// plus the one-shot penalty of the context switch that preceded it, which
+// it consumes. The +1ns keeps a plan from ever rounding to "done" early.
+func (rq *RunQueue) burstDelay(remaining, speed float64) sim.Time {
 	if speed <= 0 {
 		panic(fmt.Sprintf("sched: context %d has zero speed for running task", rq.CPU))
 	}
-	t.planAt = k.Now()
-	t.planSpeed = speed
-	delay := sim.Time(t.remaining/speed) + 1 // +1ns: never round to "done" early
-	delay += rq.switchPenalty
+	delay := sim.Time(remaining/speed) + 1 + rq.switchPenalty
 	rq.switchPenalty = 0
-	t.finishEv = k.Engine.After(delay, t.burstFn)
+	return delay
 }
 
 // unplanBurst settles the work done so far and cancels the completion
@@ -1027,13 +1027,9 @@ func (k *Kernel) unplanBurst(t *Task) {
 	if t.finishEv == nil {
 		return
 	}
+	done := t.planned(k.Now())
 	k.Engine.Cancel(t.finishEv)
 	t.finishEv = nil
-	elapsed := k.Now() - t.planAt
-	done := float64(elapsed) * t.planSpeed
-	if done > t.remaining {
-		done = t.remaining
-	}
 	t.SumWork += done
 	t.remaining -= done
 }
@@ -1081,35 +1077,20 @@ func (k *Kernel) coreSpeedChanged(co *power5.Core, mask int) {
 		if t == nil || t.finishEv == nil {
 			continue
 		}
-		whenBusy, whenIdle := ctx.SpeedPair()
-		newSpeed := whenIdle
-		if ctx.Sibling().Busy() {
-			newSpeed = whenBusy
-		}
+		newSpeed := ctx.Speed()
 		if newSpeed == t.planSpeed {
 			continue
 		}
-		if newSpeed <= 0 {
-			panic(fmt.Sprintf("sched: context %d has zero speed for running task", rq.CPU))
-		}
-		elapsed := now - t.planAt
-		done := float64(elapsed) * t.planSpeed
-		if done > t.remaining {
-			done = t.remaining
-		}
+		done := t.planned(now)
 		t.SumWork += done
 		t.remaining -= done
 		t.planAt = now
 		t.planSpeed = newSpeed
+		at := now // a change exactly at completion finishes now
 		if t.remaining > 0 {
-			delay := sim.Time(t.remaining/newSpeed) + 1
-			delay += rq.switchPenalty
-			rq.switchPenalty = 0
-			k.Engine.Reschedule(t.finishEv, now+delay)
-		} else {
-			// The change lands exactly at completion; finish now.
-			k.Engine.Reschedule(t.finishEv, now)
+			at += rq.burstDelay(t.remaining, newSpeed)
 		}
+		k.Engine.Reschedule(t.finishEv, at)
 	}
 }
 
@@ -1237,12 +1218,7 @@ func (k *Kernel) activeBalance(rq *RunQueue) *Task {
 			if t == nil || !t.MayRunOn(rq.CPU) {
 				continue
 			}
-			k.wakeBusyParked(donor) // the donor's running task is leaving
-			k.account(t)
-			k.unplanBurst(t)
-			donor.current = nil
-			k.wakeIdleParks(k.rqs)
-			k.Chip.CPU(donor.CPU).SetBusy(false)
+			k.vacate(t)
 			t.state = StateRunnable
 			t.CPU = rq.CPU
 			t.Migrations++

@@ -209,12 +209,6 @@ func (t *Task) MayRunOn(cpu int) bool {
 	return t.Affinity == 0 || t.Affinity&(1<<uint(cpu)) != 0
 }
 
-// CacheHot reports whether the task became runnable more recently than the
-// migration cost (task_hot): the balancer must not move it.
-func (t *Task) CacheHot(now, migrationCost sim.Time) bool {
-	return now-t.queuedAt < migrationCost
-}
-
 // WorkDone returns the task's cumulative completed compute work at the
 // virtual instant now, in nominal single-thread nanoseconds: SumWork plus
 // the speed-scaled progress of the in-flight burst plan, if any. It is a
@@ -222,17 +216,17 @@ func (t *Task) CacheHot(now, migrationCost sim.Time) bool {
 // exact at any instant because the planner settles SumWork whenever the
 // plan's speed assumption changes.
 func (t *Task) WorkDone(now sim.Time) float64 {
-	w := t.SumWork
-	if t.finishEv != nil {
-		done := float64(now-t.planAt) * t.planSpeed
-		if done > t.remaining {
-			done = t.remaining
-		}
-		if done > 0 {
-			w += done
-		}
+	return t.SumWork + t.planned(now)
+}
+
+// planned returns the work the in-flight burst plan has completed by now —
+// the elapsed time at the planned speed, clamped to [0, remaining] — or 0
+// when no plan is in place.
+func (t *Task) planned(now sim.Time) float64 {
+	if t.finishEv == nil {
+		return 0
 	}
-	return w
+	return min(max(float64(now-t.planAt)*t.planSpeed, 0), t.remaining)
 }
 
 // AvgWakeupLatency returns the mean wakeup→dispatch latency observed.

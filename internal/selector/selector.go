@@ -28,15 +28,6 @@ type Scenario struct {
 	Tweak func(*experiments.Config)
 }
 
-// NewScenario parses spec into a scenario (errors are *faults.ParseError).
-func NewScenario(name, workload, spec string) (Scenario, error) {
-	fs, err := faults.Parse(spec)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return Scenario{Name: name, Workload: workload, Faults: fs, FaultText: spec}, nil
-}
-
 // Options configures a selection sweep. Zero values select all six
 // scheduler modes, three default replica seeds, and a soft pool.
 type Options struct {
