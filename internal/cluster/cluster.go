@@ -230,6 +230,12 @@ type Cluster struct {
 	// window's horizon scan reads one row. Under FloorPacing every entry
 	// is the floor.
 	reachTo [][]sim.Time
+	// uniform marks a reach closure with one off-diagonal value, reachOff,
+	// and one diagonal value, reachDiag (see uniformReach): every flat
+	// topology whose nodes all exchange traffic, and every FloorPacing run.
+	// Its window horizon needs only the two least keys.
+	uniform             bool
+	reachOff, reachDiag sim.Time
 	// windows/elided count the windows run and the estimated
 	// floor-cadence windows the lookahead horizon collapsed. Both are a
 	// pure function of the run and its pacing, but they describe the
@@ -375,7 +381,30 @@ func (c *Cluster) Finalize() error {
 		}
 	}
 	c.reachTo = closeReach(nodeLat)
+	c.reachOff, c.reachDiag, c.uniform = uniformReach(c.reachTo)
 	return nil
+}
+
+// uniformReach reports whether every off-diagonal entry of reach holds one
+// value and every diagonal entry another, and returns the two. A one-node
+// reach has no off-diagonal entry; off is then MaxTime.
+func uniformReach(reach [][]sim.Time) (off, diag sim.Time, ok bool) {
+	off, diag = sim.MaxTime, reach[0][0]
+	if len(reach) > 1 {
+		off = reach[0][1]
+	}
+	for i, row := range reach {
+		for j, r := range row {
+			want := off
+			if i == j {
+				want = diag
+			}
+			if r != want {
+				return 0, 0, false
+			}
+		}
+	}
+	return off, diag, true
 }
 
 // closeReach returns the min-plus path closure of lat, transposed: lat[j][i]
@@ -487,34 +516,48 @@ func (c *Cluster) key(i int) sim.Time {
 }
 
 // head returns the unfinished node with the smallest key (the lowest index
-// on a tie), or -1 once every node is done. A finished node's key is
-// MaxTime, so it can only tie with unfinished nodes that have nothing
-// left to do — deadlocked ones, which the horizon caps.
-func (c *Cluster) head() int {
-	head, least := 0, c.keys[0]
-	for i, k := range c.keys {
+// on a tie), or -1 once every node is done, and the second-least key: the
+// least key of every other node, MaxTime when there is none. One pass
+// finds both. A finished node's key is MaxTime, so it can only tie with
+// unfinished nodes that have nothing left to do — deadlocked ones, which
+// the horizon caps.
+func (c *Cluster) head() (int, sim.Time) {
+	head, least, second := 0, c.keys[0], sim.MaxTime
+	for i := 1; i < len(c.keys); i++ {
+		k := c.keys[i]
+		second = min(second, max(k, least))
 		if k < least {
 			head, least = i, k
 		}
 	}
 	if least < sim.MaxTime {
-		return head
+		return head, second
 	}
 	for i, done := range c.done {
 		if !done {
-			return i
+			return i, second
 		}
 	}
-	return -1
+	return -1, second
 }
 
 // windowHorizon is the window bound for the head: one tick short of its
 // earliest input time, min_j(key_j + reachTo[head][j]), capped at the run
-// horizon. Under FloorPacing the keys are clocks and every reachTo entry
-// is the floor, so the bound is key_head + floor − 1: every other clock is
-// at least the head's, so no message sent from now on can arrive sooner.
-func (c *Cluster) windowHorizon(head int) sim.Time {
+// horizon. second is the least key of every node but the head. Under a
+// uniform reach the minimum has two candidates, the head's own round trip
+// and the least other key's path, so no row is scanned. Ring and star
+// reach are not uniform and scan the head's row. Under FloorPacing the
+// keys are clocks and every reachTo entry is the floor, so the bound is
+// key_head + floor − 1: every other clock is at least the head's, so no
+// message sent from now on can arrive sooner.
+func (c *Cluster) windowHorizon(head int, second sim.Time) sim.Time {
 	h := c.horizon
+	if c.uniform {
+		if eit := min(satAdd(second, c.reachOff), satAdd(c.keys[head], c.reachDiag)); eit <= h {
+			h = eit - 1
+		}
+		return h
+	}
 	reach := c.reachTo[head][:len(c.keys)]
 	for j, k := range c.keys {
 		if eit := satAdd(k, reach[j]); eit <= h {
@@ -621,7 +664,9 @@ func (c *Cluster) runWindow(i int, h sim.Time) {
 			pos++
 		}
 	}
-	c.staging[i] = st[:copy(st, st[pos:])]
+	if pos > 0 {
+		c.staging[i] = st[:copy(st, st[pos:])]
+	}
 	fired += eng.Run(h)
 	c.windows++
 	if c.onWindow != nil {
@@ -635,8 +680,10 @@ func (c *Cluster) runWindow(i int, h sim.Time) {
 		// are excluded — once the peers are done, the floor cadence also
 		// jumps to the horizon in one window, so counting that span would
 		// claim elision the lookahead did not earn.
-		if est := int64((h - now) / c.floor); est > 1 {
-			c.elided += est - 1
+		// span ≥ 2·floor, written so it cannot overflow, skips the divide
+		// for the common window of under two floors (estimate ≤ 1).
+		if span := h - now; span-c.floor >= c.floor {
+			c.elided += int64(span/c.floor) - 1
 		}
 	}
 	if c.afterRun(i) {
@@ -688,11 +735,11 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 		}
 	}
 	for c.err == nil {
-		head := c.head()
+		head, second := c.head()
 		if head < 0 {
 			break
 		}
-		c.runWindow(head, c.windowHorizon(head))
+		c.runWindow(head, c.windowHorizon(head, second))
 	}
 	var end sim.Time
 	for i := range c.ends {
@@ -726,7 +773,7 @@ func (c *Cluster) GVT() sim.Time {
 	return gvt
 }
 
-// Settle closes the open busy-accounting stretches of every node, the step
+// Settle closes the open parked tick stretches of every node, the step
 // Kernel.RunUntilWatchedExit performs on return. Call it after Run,
 // before reading metrics or finishing trace recorders.
 func (c *Cluster) Settle() {

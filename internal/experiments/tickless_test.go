@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpcsched/internal/sched"
+	"hpcsched/internal/workloads"
 )
 
 // TestTicklessWorkloadEquivalence pins, at the full-workload level, that
@@ -90,8 +91,8 @@ func TestKernelStatsMetbenchUniform(t *testing.T) {
 	r := Run(Config{Workload: "metbench", Mode: ModeUniform, Seed: 42})
 	want := sched.Stats{
 		TicksElided:      283672,
-		TickWakes:        1978,
-		ReviewsKept:      1856,
+		TickWakes:        1605,
+		ReviewsKept:      1484,
 		ReviewsMoved:     119,
 		ReviewsRearmed:   0,
 		StealScans:       0,
@@ -103,5 +104,45 @@ func TestKernelStatsMetbenchUniform(t *testing.T) {
 	}
 	if got := r.Kernel.Engine.Stats().Fired; got != 2886 {
 		t.Errorf("fired %d events, want 2886", got)
+	}
+}
+
+// TestEventCountsPinned pins fired events plus elided ticks — the
+// denominator of the benchmark's ns_per_event — for every Table III–VI row
+// at seed 42 and for the 16-node BT-MZ run the cluster benchmark times.
+// Tick machinery may change how many ticks fire and how many are elided,
+// but never their sum: a change here means the simulated work changed, and
+// every ns/event comparison across it would compare different work.
+func TestEventCountsPinned(t *testing.T) {
+	events := func(r Result) uint64 {
+		var n uint64
+		for _, k := range r.Cluster.Kernels {
+			n += k.Engine.Stats().Fired + uint64(k.TicksElided())
+		}
+		return n
+	}
+	want := map[string][]uint64{
+		"metbench":    {375259, 323224, 286558, 298454},
+		"metbenchvar": {1685570, 1545027, 1384101, 1344117},
+		"btmz":        {453658, 408091, 377799, 377182},
+		"siesta":      {428903, 389890, 389889},
+	}
+	for w, rows := range want {
+		tr := RunTable(w, 42)
+		if len(tr.Rows) != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", w, len(tr.Rows), len(rows))
+		}
+		for i, r := range tr.Rows {
+			if got := events(r); got != rows[i] {
+				t.Errorf("%s/%v: fired+elided = %d, want %d", w, r.Config.Mode, got, rows[i])
+			}
+		}
+	}
+	r := Run(Config{
+		Workload: "btmz", Mode: ModeUniform, Seed: 42, Nodes: 16, Topology: "flat",
+		TweakBTMZ: func(c *workloads.BTMZConfig) { c.Iterations = 60 },
+	})
+	if got := events(r); got != 1924115 {
+		t.Errorf("16-node BT-MZ: fired+elided = %d, want 1924115", got)
 	}
 }

@@ -138,16 +138,18 @@ func TestElideTicksOutOfStepPanics(t *testing.T) {
 
 // TestLoadCrossingMatchesScan pins the closed-form crossing search against
 // a brute-force scan of what the settles will actually apply: for random
-// anchors, samples and limits, loadCrossAt(s, limit) must be the first
-// grid instant at which applyLoad(s, ·) followed by loadAvg reaches limit
-// — including the re-anchoring case (anchor sample ≠ s) and anchors whose
-// table index is already past the snap.
+// anchors, samples and limits, loadCrossAt(s, limit, MaxTime) must be the
+// first grid instant at which applyLoad(s, ·) followed by loadAvg reaches
+// limit — including the re-anchoring case (anchor sample ≠ s) and anchors
+// whose table index is already past the snap. Bounded by a random instant
+// by, on the grid or off it, the crossing must be the same where it lies
+// at or before by, and lie past by otherwise.
 func TestLoadCrossingMatchesScan(t *testing.T) {
 	k := elideKernel()
 	p := k.Opts.TickPeriod
 	rng := sim.NewRNG(99)
 	for trial := 0; trial < 400; trial++ {
-		rq := &RunQueue{kernel: k}
+		rq := &RunQueue{kernel: k, period: p}
 		rq.loadX0 = rng.Float64()
 		if trial%10 == 0 {
 			rq.loadX0 = float64(rng.Intn(2)) // converged anchors
@@ -157,7 +159,10 @@ func TestLoadCrossingMatchesScan(t *testing.T) {
 		rq.loadTicked = rq.loadAnchor + sim.Time(rng.Int63n(int64(len(loadPow))+200))*p
 		for _, s := range []float64{0, 1} {
 			limit := rng.Float64()
-			got := rq.loadCrossAt(s, limit)
+			got := rq.loadCrossAt(s, limit, sim.MaxTime)
+			by := rq.loadTicked + sim.Time(rng.Int63n(int64(len(loadPow))+200))*p - p +
+				sim.Time(rng.Intn(2))*p/2
+			gotBy := rq.loadCrossAt(s, limit, by)
 			want := sim.MaxTime
 			for j := range len(loadPow) + 2 {
 				at := rq.loadTicked + sim.Time(j)*p
@@ -172,6 +177,10 @@ func TestLoadCrossingMatchesScan(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d: anchor x0=%v s=%v k=%d, sample %v limit %v: crossing %d, scan %d",
 					trial, rq.loadX0, rq.loadS, (rq.loadTicked-rq.loadAnchor)/p, s, limit, got, want)
+			}
+			if want <= by && gotBy != want || want > by && gotBy <= by {
+				t.Fatalf("trial %d: sample %v limit %v: crossing %d bounded by %d gives %d",
+					trial, s, limit, want, by, gotBy)
 			}
 		}
 	}

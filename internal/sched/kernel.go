@@ -44,10 +44,11 @@ type RunQueue struct {
 	loadAnchor sim.Time
 	loadTicked sim.Time
 
-	// The periodic tick (tick.go): its event, fired at gridBase + k·period
-	// unless parked, and where the event stands (tickState).
+	// The periodic tick (tick.go): its event, fired on the CPU's grid —
+	// its first tick instant + k·period — unless parked, and where the
+	// event stands (tickState). period is Options.TickPeriod.
 	tickEv     *sim.Event
-	gridBase   sim.Time
+	period     sim.Time
 	lastTickAt sim.Time // last accounted grid instant (fired or elided)
 	tick       tickState
 
@@ -410,15 +411,16 @@ func (k *Kernel) Watching() int { return k.watchLeft }
 func (k *Kernel) RunUntilWatchedExit(horizon sim.Time) sim.Time {
 	if k.watchLeft > 0 {
 		k.Engine.Run(horizon)
-		// Busy-parked stretches survive the stop (the exit that stopped the
-		// engine only wakes its own CPU's tick).
+		// Parked stretches survive the stop (the exit that stopped the
+		// engine wakes at most its sibling's idle park).
 		k.Settle()
 	}
 	return k.Now()
 }
 
-// Settle closes every still-open busy-parked accounting stretch, so
-// end-of-run readers (reports, fingerprints) find the same accounting an
+// Settle closes every still-open parked stretch, busy and idle, through the
+// last grid instant before the present, so end-of-run readers (reports,
+// fingerprints) find the same accounting and load averages an
 // always-ticking run would have left; the ticks stay parked. It is the
 // step RunUntilWatchedExit performs after its Run returns. Externally-
 // stepped drivers call it once their stepping is finished, before reading
@@ -427,7 +429,9 @@ func (k *Kernel) RunUntilWatchedExit(horizon sim.Time) sim.Time {
 // experiment run — a single node included — goes through it.
 func (k *Kernel) Settle() {
 	for _, rq := range k.rqs {
-		k.settleBusyTicks(rq)
+		if rq.parked() {
+			k.settleStretch(rq, k.Now()-1)
+		}
 	}
 }
 
@@ -551,17 +555,18 @@ func (k *Kernel) exit(t *Task) {
 // transition — sleep, exit, active migration, hotplug evacuation — goes
 // through it, in this order: settle a busy-parked tick while t still runs
 // (its horizon assumed t on the CPU), account t's on-CPU time, settle and
-// cancel its burst plan, clear current, wake the idle parks — before the
-// caller's Resched, so a tick woken on its grid keeps its place ahead of
-// the pass (see wakeIdleParks) — and only then mark the context idle,
-// whose speed hook replans the sibling's burst.
+// cancel its burst plan, clear current, wake the sibling's idle park — its
+// core may now be fully idle; no other idle horizon can fall (see
+// wakeIdleParks) — before the caller's Resched, so a tick woken on its
+// grid keeps its place ahead of the pass, and only then mark the context
+// idle, whose speed hook replans the sibling's burst.
 func (k *Kernel) vacate(t *Task) {
 	rq := k.rqs[t.CPU]
 	k.wakeBusyParked(rq)
 	k.account(t)
 	k.unplanBurst(t)
 	rq.current = nil
-	k.wakeIdleParks(k.rqs)
+	k.wakeIdlePark(k.rqs[t.CPU^1])
 	k.Chip.CPU(t.CPU).SetBusy(false)
 }
 
@@ -710,7 +715,14 @@ func (k *Kernel) dispatch(rq *RunQueue, t *Task) {
 	t.CPU = rq.CPU
 	rq.current = t
 	rq.lastRan = t
-	k.wakeIdleParks(k.rqs)
+	// The CPU's own park ends. When the sibling runs a task too, the core
+	// just became doubly busy — a donor for every idle core's active
+	// balance — so every idle park wakes (see wakeIdleParks).
+	if k.rqs[rq.CPU^1].current != nil {
+		k.wakeIdleParks(k.rqs)
+	} else {
+		k.wakeIdlePark(rq)
+	}
 
 	if t.wakeValid {
 		lat := k.Now() - t.wakeAt

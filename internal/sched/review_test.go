@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hpcsched/internal/power5"
@@ -139,5 +141,66 @@ func TestWakeSameInstantAsOffline(t *testing.T) {
 				t.Fatalf("tickless run diverges:\n--- tickless ---\n%s--- ticking ---\n%s", got, want)
 			}
 		})
+	}
+}
+
+// runningLog records every dispatch: the instant, the task and the CPU.
+type runningLog struct{ lines []string }
+
+func (l *runningLog) TaskState(now sim.Time, t *Task, s State, cpu int) {
+	if s == StateRunning {
+		l.lines = append(l.lines, fmt.Sprintf("%d %s cpu%d", now, t.Name, cpu))
+	}
+}
+
+func (l *runningLog) TaskHWPrio(sim.Time, *Task, int) {}
+
+// TestDoublyBusyCoreWakesIdleParks: a dispatch that makes a core doubly
+// busy creates a donor for the SMT-domain active balance, which can lower
+// the horizon of an idle park on any other core. Core 1 idles for 300 ms,
+// its ticks parked with every active-balance gate open but the donor one,
+// when a task pinned to CPU1 starts beside the task running on CPU0. Core
+// 1 must pull CPU0's task at the same instant as a run whose idle ticks
+// all fire. Waking only the dispatching CPU's own park would leave core
+// 1's ticks parked until their cap, past the whole run.
+func TestDoublyBusyCoreWakesIdleParks(t *testing.T) {
+	const start = 300*sim.Millisecond + 250*sim.Microsecond // on no CPU's grid
+	run := func(ticking bool) (string, string, int64) {
+		e := sim.NewEngine(3)
+		opts := DefaultOptions()
+		opts.NoTicklessIdle = ticking
+		k := NewKernel(e, power5.NewChip(2, power5.NewCalibratedPerfModel()), opts)
+		log := &runningLog{}
+		k.SetTracer(log)
+		a := k.AddProcess(TaskSpec{Name: "a", Policy: PolicyNormal},
+			func(env *Env) { env.Compute(600 * sim.Millisecond) })
+		k.Watch(a)
+		e.Schedule(start, func() {
+			if !ticking {
+				for cpu := 2; cpu < 4; cpu++ {
+					if k.RQ(cpu).tick != tickIdleParked {
+						t.Fatalf("CPU%d's tick is not idle-parked before the dispatch", cpu)
+					}
+				}
+			}
+			k.Watch(k.AddProcess(TaskSpec{Name: "b", Policy: PolicyNormal, Affinity: pin(1)},
+				func(env *Env) { env.Compute(300 * sim.Millisecond) }))
+		})
+		checkTickStates(t, k)
+		k.RunUntilWatchedExit(10 * sim.Second)
+		k.Shutdown()
+		return fingerprintOf(k, k.Tasks()), strings.Join(log.lines, "\n"), k.MigActive
+	}
+	wantPrint, wantLog, wantMig := run(true)
+	if wantMig != 1 || !strings.Contains(wantLog, "a cpu2") {
+		t.Fatalf("ticking run: %d active migrations, dispatches:\n%s", wantMig, wantLog)
+	}
+	gotPrint, gotLog, gotMig := run(false)
+	if gotMig != wantMig || gotLog != wantLog {
+		t.Errorf("tickless run: %d active migrations, dispatches:\n%s\nticking run: %d, dispatches:\n%s",
+			gotMig, gotLog, wantMig, wantLog)
+	}
+	if gotPrint != wantPrint {
+		t.Errorf("tickless run diverges:\n--- tickless ---\n%s--- ticking ---\n%s", gotPrint, wantPrint)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // tickState says where a CPU's tick event (RunQueue.tickEv) stands. Each
 // CPU owns one tick event for its lifetime, and ticks only ever fire on
-// the CPU's grid, gridBase + k·period. When every tick until some
-// computable horizon is provably a no-op, the event is parked — re-armed
+// the CPU's grid, its first tick instant + k·period. When every tick until
+// some computable horizon is provably a no-op, the event is parked — re-armed
 // past its grid — and the skipped instants are settled later in closed
 // form (settleStretch): a parked stretch's ticks all sample the same
 // occupancy, so its load needs one applyLoad, and a busy stretch's class
@@ -22,22 +22,22 @@ import (
 //	tickArmed       a fired tick or a review whose    firing
 //	                next tick may act (parkAt); a
 //	                wake on a grid instant (wakeTick)
-//	tickIdleParked  parkAt with current == nil        firing; any queue or running-task
-//	                (maybeParkTick)                   transition (wakeIdleParks)
+//	tickIdleParked  parkAt with current == nil        firing; a transition that can
+//	                (maybeParkTick)                   lower its horizon (wakeIdleParks)
 //	tickBusyParked  parkAt with current != nil        firing; a transition of this CPU
 //	                (maybeParkBusyTick)               (wakeBusyParked)
 //	tickReviewed    a wake off the grid (wakeTick)    the end of the instant (reviewTick)
 //
 // An idle park's horizon reads machine-wide state — every CPU's queue and
-// running task feed the balance gates — so any such transition wakes it
-// (a pinned task's queue change may wake only its own core's: see
-// queueChanged). A busy park's horizon reads only its own CPU's state, so
-// only local transitions wake it: an enqueue or dequeue on this CPU, the
-// running task leaving (schedule, deactivate, exit, migration), and a
-// weight, policy or class change of the running task. A reviewed tick's
-// stretch is settled through the last grid instant before the wake, and
-// its event still sits at the parked instant; no reviewed state survives
-// its instant. An offline CPU has no tick event and stays tickArmed.
+// running task feed the balance gates — so the transitions that can lower
+// it wake it; wakeIdleParks lists which wake which. A busy park's horizon
+// reads only its own CPU's state, so only local transitions wake it: an
+// enqueue or dequeue on this CPU, the running task leaving (schedule,
+// deactivate, exit, migration), and a weight, policy or class change of
+// the running task. A reviewed tick's stretch is settled through the last
+// grid instant before the wake, and its event still sits at the parked
+// instant; no reviewed state survives its instant. An offline CPU has no
+// tick event and stays tickArmed.
 type tickState uint8
 
 const (
@@ -59,28 +59,35 @@ func (k *Kernel) startTicker(cpu int) {
 	period := k.Opts.TickPeriod
 	offset := period * sim.Time(cpu) / sim.Time(k.Chip.NumCPUs())
 	rq := k.rqs[cpu]
-	rq.gridBase = k.Engine.Now() + offset
-	rq.loadAnchor = rq.gridBase - period
-	rq.loadTicked = rq.gridBase - period
-	rq.lastTickAt = rq.gridBase - period
+	first := k.Engine.Now() + offset
+	rq.period = period
+	rq.loadAnchor = first - period
+	rq.loadTicked = first - period
+	rq.lastTickAt = first - period
 	tick := func() { k.tick(cpu) }
-	rq.tickEv = k.Engine.Schedule(rq.gridBase, tick)
+	rq.tickEv = k.Engine.Schedule(first, tick)
 }
 
-// gridCeil returns the smallest tick-grid instant of rq at or after t.
+// gridCeil returns the smallest tick-grid instant of rq at or after t. It
+// counts from lastTickAt, the last grid instant settled, so t within the
+// period after it — the common case — needs no division.
 func (rq *RunQueue) gridCeil(t sim.Time) sim.Time {
-	if t <= rq.gridBase {
-		return rq.gridBase
+	d, p := t-rq.lastTickAt, rq.period
+	switch {
+	case d > 0 && d <= p:
+		return rq.lastTickAt + p
+	case d > 0:
+		return rq.lastTickAt + (d+p-1)/p*p
+	default:
+		return rq.lastTickAt + d/p*p // rounds toward zero: up, for d ≤ 0
 	}
-	p := rq.kernel.Opts.TickPeriod
-	d := t - rq.gridBase
-	return rq.gridBase + (d+p-1)/p*p
 }
 
-// gridFloor returns the largest tick-grid instant of rq at or before t.
+// gridFloor returns the largest tick-grid instant of rq at or before t
+// (see gridCeil).
 func (rq *RunQueue) gridFloor(t sim.Time) sim.Time {
 	if g := rq.gridCeil(t); g > t {
-		return g - rq.kernel.Opts.TickPeriod
+		return g - rq.period
 	}
 	return t
 }
@@ -126,8 +133,7 @@ func loadEval(x0, s float64, k int64) float64 {
 
 // loadAvg returns rq's occupancy average at grid instant loadTicked.
 func (rq *RunQueue) loadAvg() float64 {
-	return loadEval(rq.loadX0, rq.loadS,
-		int64((rq.loadTicked-rq.loadAnchor)/rq.kernel.Opts.TickPeriod))
+	return loadEval(rq.loadX0, rq.loadS, int64((rq.loadTicked-rq.loadAnchor)/rq.period))
 }
 
 // applyLoad applies the occupancy sample s at every tick-grid instant of
@@ -184,12 +190,12 @@ func (k *Kernel) accountAt(t *Task, at sim.Time) {
 // the fired ticks would have. The park horizon guarantees that none of
 // them requests a reschedule.
 func (k *Kernel) settleStretch(rq *RunQueue, through sim.Time) {
-	p := k.Opts.TickPeriod
-	through = rq.gridFloor(through)
-	if rq.lastTickAt >= through {
-		return
+	p := rq.period
+	if through-rq.lastTickAt < p {
+		return // no grid instant in (lastTickAt, through]
 	}
 	n := (through - rq.lastTickAt) / p
+	through = rq.lastTickAt + n*p
 	if rq.tick == tickBusyParked {
 		rq.applyLoad(1, through)
 		t := rq.current
@@ -243,7 +249,7 @@ func (k *Kernel) settleBusyTicks(rq *RunQueue) {
 func (k *Kernel) tick(cpu int) {
 	rq := k.rqs[cpu]
 	now := k.Now()
-	period := k.Opts.TickPeriod
+	period := rq.period
 	if now != rq.lastTickAt+period { // on-cadence fast path: nothing elided
 		// First firing after a parked stretch: settle the elided instants
 		// up to the previous grid instant (idle stretches: the load;
@@ -289,7 +295,7 @@ func (k *Kernel) tick(cpu int) {
 		k.Resched(cpu)
 	}
 	// Re-arm: one period out, or parked past the cadence.
-	at, st := k.parkAt(rq, now)
+	at, st := k.parkAt(rq, now, sim.MaxTime)
 	rq.tick = st
 	k.Engine.Reschedule(rq.tickEv, at)
 }
@@ -324,14 +330,18 @@ const ticklessParkCap = 1024
 // instant — and so the same position among same-instant events — it would
 // have had had the tick never parked. Without a park the tick after g
 // might act: the answer is g+period, armed.
-func (k *Kernel) parkAt(rq *RunQueue, g sim.Time) (sim.Time, tickState) {
-	if at, ok := k.maybeParkTick(rq, g); ok {
+//
+// by is the instant the caller needs the park to reach, MaxTime when it
+// needs the exact instant: an idle park that provably reaches by returns
+// by itself, without searching for where it ends (see maybeParkTick).
+func (k *Kernel) parkAt(rq *RunQueue, g, by sim.Time) (sim.Time, tickState) {
+	if at, ok := k.maybeParkTick(rq, g, by); ok {
 		return at, tickIdleParked
 	}
 	if at, ok := k.maybeParkBusyTick(rq); ok {
 		return at, tickBusyParked
 	}
-	return g + k.Opts.TickPeriod, tickArmed
+	return g + rq.period, tickArmed
 }
 
 // maybeParkTick decides whether every tick of the idle rq from grid
@@ -353,9 +363,15 @@ func (k *Kernel) parkAt(rq *RunQueue, g sim.Time) (sim.Time, tickState) {
 //     activeBalanceEligibleAt — a lower bound built from the frozen
 //     idle-since marks, the deterministic loadAvg trajectories of this
 //     CPU, its sibling and every potential donor core, and donor
-//     existence (any current/queue transition wakes the tick);
+//     existence (a transition that can create a donor wakes the tick);
 //   - the snooze entry: a pure function of idleSince, included below.
-func (k *Kernel) maybeParkTick(rq *RunQueue, g sim.Time) (sim.Time, bool) {
+//
+// by, when a grid instant in (g+period, g+ticklessParkCap·period], asks
+// only whether the park reaches by: once every gate is shown shut through
+// by — one load evaluation per load gate at by, no search — the answer is
+// by itself. The park instant then lies at or past by, since the first
+// tick that could act lies past it. Any other by asks for the exact park.
+func (k *Kernel) maybeParkTick(rq *RunQueue, g, by sim.Time) (sim.Time, bool) {
 	if k.Opts.NoTicklessIdle {
 		return 0, false
 	}
@@ -365,6 +381,13 @@ func (k *Kernel) maybeParkTick(rq *RunQueue, g sim.Time) (sim.Time, bool) {
 	if rq.idleSince == sim.MaxTime {
 		return 0, false
 	}
+	period := rq.period
+	cap := g + ticklessParkCap*period
+	if by <= g+period || by > cap {
+		by = sim.MaxTime
+	}
+	// h is the first instant a tick could act at, exact when it is at or
+	// before by; past by it only has to stay past by.
 	h := sim.MaxTime
 	if k.nrMigratable != 0 {
 		// Every tick runs the idle-balance pull: only the valid
@@ -376,17 +399,15 @@ func (k *Kernel) maybeParkTick(rq *RunQueue, g sim.Time) (sim.Time, bool) {
 		}
 		h = rq.lbRetryAt
 	}
-	if ab := k.activeBalanceEligibleAt(rq); ab < h {
-		h = ab
-	}
 	if d := k.Opts.SMTSnoozeDelay; d > 0 &&
 		k.Chip.CPU(rq.CPU).Priority() != power5.PrioVeryLow {
-		if s := rq.idleSince + d; s < h {
-			h = s
-		}
+		h = min(h, rq.idleSince+d)
 	}
-	period := k.Opts.TickPeriod
-	cap := g + ticklessParkCap*period
+	// The active balance matters only where it opens before both h and by.
+	h = min(h, k.activeBalanceEligibleAt(rq, min(h, by)))
+	if h > by {
+		return by, true
+	}
 	var arm sim.Time
 	if h >= cap {
 		arm = cap // capped: the wake-up re-checks and re-parks
@@ -444,35 +465,35 @@ func (k *Kernel) maybeParkBusyTick(rq *RunQueue) (sim.Time, bool) {
 	if n < 2 {
 		return 0, false // nothing to skip
 	}
-	return rq.lastTickAt + sim.Time(n)*k.Opts.TickPeriod, true
+	return rq.lastTickAt + sim.Time(n)*rq.period, true
 }
 
 // activeBalanceEligibleAt returns a lower bound on the first instant at
 // which activeBalance(rq) could return non-nil, assuming no current/queue
-// transition happens anywhere in between (every such transition wakes the
-// parked tick and the bound is recomputed). The bound is exact with
-// respect to the deterministic parts of the state: the frozen idle-since
-// marks and the load trajectories, which between transitions follow a
-// known closed form at known grid instants.
-func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue) sim.Time {
-	period := k.Opts.TickPeriod
-	t := rq.idleSince + 4*period
+// transition happens anywhere in between that could lower it (each such
+// transition wakes the parked tick and the bound is recomputed; see
+// wakeIdleParks). The bound is exact with respect to the deterministic
+// parts of the state: the frozen idle-since marks and the load
+// trajectories, which between transitions follow a known closed form at
+// known grid instants.
+//
+// The bound is exact when it is at or before by. Past by it need only stay
+// past by, so the walk ends at the first gate shown shut through by, and
+// a load crossing is searched for only when it lies at or before by.
+func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue, by sim.Time) sim.Time {
 	sib := k.rqs[rq.CPU^1]
 	if sib.current != nil || sib.nrQueued > 0 || sib.idleSince == sim.MaxTime {
 		return sim.MaxTime // core not fully idle; a transition wakes us
 	}
-	if s := sib.idleSince + 4*period; s > t {
-		t = s
-	}
-	if c := rq.loadCrossAt(0, 0.35); c > t {
-		t = c
-	}
-	if c := sib.loadCrossAt(0, 0.35); c > t {
-		t = c
+	// The gates open together: the bound is the latest of their openings,
+	// walked from the cheapest to test.
+	t := max(rq.idleSince, sib.idleSince) + 4*rq.period
+	if t > by {
+		return t
 	}
 	// A donor core must exist: both contexts busy, loadAvg ≥ 0.75 on both
 	// (rising deterministically while they stay busy), with at least one
-	// current task allowed on this CPU.
+	// current task allowed on this CPU. The earliest donor counts.
 	donor := sim.MaxTime
 	for base := 0; base < len(k.rqs); base += 2 {
 		if base == rq.CPU&^1 {
@@ -485,37 +506,38 @@ func (k *Kernel) activeBalanceEligibleAt(rq *RunQueue) sim.Time {
 		if !a.current.MayRunOn(rq.CPU) && !b.current.MayRunOn(rq.CPU) {
 			continue
 		}
-		pair := a.loadCrossAt(1, 0.75)
-		if c := b.loadCrossAt(1, 0.75); c > pair {
-			pair = c
+		pair := a.loadCrossAt(1, 0.75, min(by, donor))
+		if pair <= min(by, donor) {
+			pair = max(pair, b.loadCrossAt(1, 0.75, min(by, donor)))
 		}
-		if pair < donor {
-			donor = pair
-		}
+		donor = min(donor, pair)
 	}
-	if donor == sim.MaxTime {
-		return sim.MaxTime
+	if t = max(t, donor); t > by {
+		return t
 	}
-	if donor > t {
-		t = donor
+	if t = max(t, rq.loadCrossAt(0, 0.35, by)); t > by {
+		return t
 	}
-	return t
+	return max(t, sib.loadCrossAt(0, 0.35, by))
 }
 
 // loadCrossAt returns the first grid instant at or after loadTicked at
 // which rq's load, sampling s from loadTicked on, has reached limit (≤
 // limit for s = 0, ≥ limit for s = 1), or sim.MaxTime if it never does. It
-// searches the evaluation the later settles will apply — the anchor
-// continues when its sample is s, and re-anchors at loadTicked otherwise —
-// by bisection: the trajectory moves monotonically toward s and is s from
-// the end of loadPow on.
-func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
-	x0, base := rq.loadX0, int64((rq.loadTicked-rq.loadAnchor)/rq.kernel.Opts.TickPeriod)
+// reads the evaluation the later settles will apply — the anchor
+// continues when its sample is s, and re-anchors at loadTicked otherwise.
+// The trajectory moves monotonically toward s and is s from the end of
+// loadPow on, so one evaluation at the last grid instant at or before by
+// tells whether the crossing lies past by — then MaxTime stands for it —
+// and only a crossing at or before by is searched for, by bisection.
+func (rq *RunQueue) loadCrossAt(s, limit float64, by sim.Time) sim.Time {
+	p := rq.period
+	x0, base := rq.loadX0, int64((rq.loadTicked-rq.loadAnchor)/p)
 	if s != rq.loadS {
 		x0, base = rq.loadAvg(), 0
 	}
-	reached := func(j int) bool {
-		v := loadEval(x0, s, base+int64(j))
+	reached := func(j int64) bool {
+		v := loadEval(x0, s, base+j)
 		if s == 0 {
 			return v <= limit
 		}
@@ -524,19 +546,39 @@ func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
 	if reached(0) {
 		return rq.loadTicked // the common case: a load already settled at s
 	}
-	n := max(int64(len(loadPow))-base, 0) // from j = n on the load is s
-	if !reached(int(n)) {
+	// From j = n on the load is s; past j = m the grid instants lie past by.
+	n := max(int64(len(loadPow))-base, 0)
+	m := n
+	if by < rq.loadTicked+sim.Time(n)*p {
+		m = max(int64((by-rq.loadTicked)/p), 0)
+	}
+	if !reached(m) {
 		return sim.MaxTime
 	}
-	j := sort.Search(int(n), reached)
-	return rq.loadTicked + sim.Time(j)*rq.kernel.Opts.TickPeriod
+	j := sort.Search(int(m), func(j int) bool { return reached(int64(j)) })
+	return rq.loadTicked + sim.Time(j)*p
 }
 
 // wakeIdleParks wakes the idle-parked ticks among rqs: a queue membership
 // or running-task transition just happened, so their balance horizons may
-// no longer bound the first observable tick. Every such transition wakes
-// the whole machine's idle parks (rqs = k.rqs), except where queueChanged
-// narrows the set.
+// no longer bound the first observable tick. A transition wakes only the
+// parks whose horizon it can lower; a park whose horizon can only rise
+// stays, since its tick fires early at worst, as a no-op that re-parks.
+//
+//	transition on CPU c              idle parks woken
+//	enqueue/dequeue of t (queueChanged)
+//	  t migratable, or any is queued  every CPU's
+//	  t pinned, none migratable       c's core (c and its sibling)
+//	vacate (t leaves c)               c's sibling: its core may now be
+//	                                  fully idle
+//	dispatch (t starts on c)          c's own; every CPU's when c's
+//	                                  sibling runs a task, since c's core
+//	                                  just became doubly busy: a donor
+//
+// No other transition can lower an idle horizon: it reads the CPU's own
+// state, its sibling's occupancy and idle mark, the negative-result cache
+// (versioned by the queues) and the donor cores, and a donor appears only
+// where a core becomes doubly busy.
 //
 // It must be called before the mutation schedules any same-instant
 // follow-up events (Resched), so a tick woken on its grid keeps its place
@@ -544,9 +586,14 @@ func (rq *RunQueue) loadCrossAt(s, limit float64) sim.Time {
 // order.
 func (k *Kernel) wakeIdleParks(rqs []*RunQueue) {
 	for _, rq := range rqs {
-		if rq.tick == tickIdleParked {
-			k.wakeTick(rq)
-		}
+		k.wakeIdlePark(rq)
+	}
+}
+
+// wakeIdlePark wakes rq's tick if it is parked over an idle stretch.
+func (k *Kernel) wakeIdlePark(rq *RunQueue) {
+	if rq.tick == tickIdleParked {
+		k.wakeTick(rq)
 	}
 }
 
@@ -610,22 +657,22 @@ func (k *Kernel) wakeBusyParked(rq *RunQueue) {
 func (k *Kernel) wakeTick(rq *RunQueue) {
 	k.stats.TickWakes++
 	now := k.Now()
-	period := k.Opts.TickPeriod
-	at := rq.gridCeil(now)
-	if at != now {
-		k.settleStretch(rq, at-period)
+	period := rq.period
+	// Settle through the last grid instant before now: now is on the grid
+	// if it is the next one, or if the real tick fired at now.
+	k.settleStretch(rq, now-1)
+	if rq.lastTickAt+period != now && rq.lastTickAt != now {
 		rq.tick = tickReviewed
 		k.Engine.RequestInstantEnd()
 		return
 	}
+	at := now
 	if rq.lastTickAt == now || k.Engine.FiringScheduledAt() >= now-period {
 		// The virtual tick at now "already fired" (or the real one did —
 		// lastTickAt == now — and re-parked at this very instant): settle
 		// through now and resume one period later.
 		k.settleStretch(rq, now)
-		at += period
-	} else {
-		k.settleStretch(rq, at-period)
+		at = now + period
 	}
 	rq.tick = tickArmed
 	k.Engine.Reschedule(rq.tickEv, at)
@@ -647,10 +694,12 @@ func (k *Kernel) reviewTicks() {
 // the still-parked event where it is when that is no later than the park
 // instant — the tick there is a no-op and re-decides — and moves it to
 // the park instant otherwise. Only when the tick at g might act is it
-// re-armed at g, as a wake on the grid would have it.
+// re-armed at g, as a wake on the grid would have it. Keeping needs only
+// to know that the park reaches the parked instant, a grid instant, so
+// that instant is parkAt's target.
 func (k *Kernel) reviewTick(rq *RunQueue) {
-	g := rq.lastTickAt + k.Opts.TickPeriod
-	at, st := k.parkAt(rq, g)
+	g := rq.lastTickAt + rq.period
+	at, st := k.parkAt(rq, g, rq.tickEv.At())
 	rq.tick = st
 	switch {
 	case st == tickArmed:
