@@ -91,8 +91,8 @@ func TestKernelStatsMetbenchUniform(t *testing.T) {
 	r := Run(Config{Workload: "metbench", Mode: ModeUniform, Seed: 42})
 	want := sched.Stats{
 		TicksElided:      283672,
-		TickWakes:        1605,
-		ReviewsKept:      1484,
+		TickWakes:        1471,
+		ReviewsKept:      1350,
 		ReviewsMoved:     119,
 		ReviewsRearmed:   0,
 		StealScans:       0,

@@ -120,7 +120,7 @@ type Kernel struct {
 	// (Task.pinned). Every Steal tests MayRunOn first, so while it is 0 no
 	// balance pull can succeed: idleBalance skips its scan, an idle park
 	// needs no negative-result cache, and a pinned task's enqueue or
-	// dequeue wakes only its own core's idle parks (queueChanged).
+	// dequeue wakes no idle park (queueChanged).
 	nrMigratable int
 
 	// queueGen counts class-queue membership changes machine-wide; it
@@ -479,10 +479,14 @@ func (k *Kernel) activate(t *Task, wakeup bool) {
 	t.state = StateRunnable
 	t.queuedAt = k.Now()
 	rq := k.rqs[cpu]
-	// A busy-parked tick's horizon assumed this CPU's class queues frozen;
-	// replay and wake it before the enqueue mutates them (the CFS enqueue
-	// also reads the settled min_vruntime for its placement).
-	k.wakeBusyParked(rq)
+	// A busy-parked tick's horizon assumed the running class's queue
+	// frozen; replay and wake it before the enqueue mutates it (the CFS
+	// enqueue also reads the settled min_vruntime for its placement). A
+	// lower class cannot change the running class's TickNoops, and a
+	// higher class preempts: the scheduling pass wakes the park.
+	if cur := rq.current; cur != nil && cur.classIdx == t.classIdx {
+		k.wakeBusyParked(rq)
+	}
 	crq := rq.classRQ[t.classIdx]
 	crq.Enqueue(t, wakeup)
 	k.noteEnqueued(rq, t)
@@ -583,7 +587,7 @@ func (k *Kernel) noteEnqueued(rq *RunQueue, t *Task) {
 	if !t.pinned {
 		k.nrMigratable++
 	}
-	k.queueChanged(rq, t)
+	k.queueChanged(t)
 }
 
 func (k *Kernel) noteDequeued(rq *RunQueue, t *Task) {
@@ -594,7 +598,7 @@ func (k *Kernel) noteDequeued(rq *RunQueue, t *Task) {
 	if !t.pinned {
 		k.nrMigratable--
 	}
-	k.queueChanged(rq, t)
+	k.queueChanged(t)
 }
 
 // BalanceCacheHot reports whether t is too cache-hot for the load balancer

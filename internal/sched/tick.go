@@ -568,7 +568,7 @@ func (rq *RunQueue) loadCrossAt(s, limit float64, by sim.Time) sim.Time {
 //	transition on CPU c              idle parks woken
 //	enqueue/dequeue of t (queueChanged)
 //	  t migratable, or any is queued  every CPU's
-//	  t pinned, none migratable       c's core (c and its sibling)
+//	  t pinned, none migratable       none
 //	vacate (t leaves c)               c's sibling: its core may now be
 //	                                  fully idle
 //	dispatch (t starts on c)          c's own; every CPU's when c's
@@ -602,15 +602,15 @@ func (k *Kernel) wakeIdlePark(rq *RunQueue) {
 // a migratable one is queued, can change what a steal scan finds, so every
 // idle park wakes. A pinned task while none is migratable cannot: no pull
 // can succeed before or after. Its queue is then read only by its own CPU
-// and by the sibling's activeBalance gate (sib.nrQueued), so only the idle
-// parks of rq's core wake.
-func (k *Kernel) queueChanged(rq *RunQueue, t *Task) {
-	rqs := k.rqs
+// and by the sibling's activeBalance gate, and neither park can need the
+// wake: a pinned task queues only on a busy CPU, whose non-empty queue
+// holds the sibling's gate at MaxTime, and an idle CPU's own park is
+// woken by its dispatch.
+func (k *Kernel) queueChanged(t *Task) {
 	if t.pinned && k.nrMigratable == 0 {
-		base := rq.CPU &^ 1
-		rqs = rqs[base : base+2]
+		return
 	}
-	k.wakeIdleParks(rqs)
+	k.wakeIdleParks(k.rqs)
 }
 
 // wakeBusyParked wakes rq's tick if it is parked over a busy stretch: a

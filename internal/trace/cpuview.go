@@ -2,7 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"hpcsched/internal/sched"
@@ -16,96 +17,54 @@ import (
 // to the per-process one, and it makes placement — who shares a core with
 // whom — visible at a glance.
 func (r *Recorder) RenderByCPU(opt RenderOptions) string {
-	if opt.Width <= 0 {
-		opt.Width = 100
-	}
-	if opt.To == 0 {
-		opt.To = r.end
-	}
-	if opt.To <= opt.From {
+	if !opt.window(r.end) {
 		return ""
 	}
-	span := opt.To - opt.From
-
-	// Collect running intervals per CPU.
-	maxCPU := 0
-	type occ struct {
-		from, to sim.Time
-		label    byte
-	}
-	perCPU := map[int][]occ{}
-	for _, tt := range r.order {
-		label := byte('?')
+	labels := make([]byte, len(r.tasks))
+	for i, tt := range r.tasks {
+		labels[i] = '?'
 		if n := tt.Name; n != "" {
-			label = n[len(n)-1]
+			labels[i] = n[len(n)-1]
 		}
-		tt.Each(func(iv Interval) {
-			if iv.State != sched.StateRunning {
-				return
+	}
+	// One pass over the log: running time per CPU, column and label. Every
+	// CPU up to the highest one that ran a task gets a row.
+	var weights [][]map[byte]sim.Time
+	for e := range r.entries(0, len(r.log)) {
+		if sched.State(e.state) != sched.StateRunning || e.cpu < 0 {
+			continue
+		}
+		for int(e.cpu) >= len(weights) {
+			weights = append(weights, nil)
+		}
+		w := weights[e.cpu]
+		if w == nil {
+			w = make([]map[byte]sim.Time, opt.Width)
+			for i := range w {
+				w[i] = map[byte]sim.Time{}
 			}
-			if iv.CPU > maxCPU {
-				maxCPU = iv.CPU
-			}
-			perCPU[iv.CPU] = append(perCPU[iv.CPU], occ{iv.From, iv.To, label})
-		})
+			weights[e.cpu] = w
+		}
+		label := labels[e.task]
+		opt.spread(e.from, e.to, func(c int, ov sim.Time) { w[c][label] += ov })
+	}
+	if len(weights) == 0 {
+		weights = make([][]map[byte]sim.Time, 1) // the idle cpu0 row
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "        time %v .. %v (1 col = %v)\n", opt.From, opt.To,
-		span/sim.Time(opt.Width))
-	cpus := make([]int, 0, len(perCPU))
-	for c := 0; c <= maxCPU; c++ {
-		cpus = append(cpus, c)
-	}
-	sort.Ints(cpus)
-	for _, cpu := range cpus {
-		weights := make([]map[byte]sim.Time, opt.Width)
-		for i := range weights {
-			weights[i] = map[byte]sim.Time{}
-		}
-		for _, o := range perCPU[cpu] {
-			from, to := o.from, o.to
-			if to <= opt.From || from >= opt.To {
-				continue
-			}
-			if from < opt.From {
-				from = opt.From
-			}
-			if to > opt.To {
-				to = opt.To
-			}
-			c0 := int(int64(from-opt.From) * int64(opt.Width) / int64(span))
-			c1 := int(int64(to-opt.From) * int64(opt.Width) / int64(span))
-			if c1 >= opt.Width {
-				c1 = opt.Width - 1
-			}
-			for c := c0; c <= c1; c++ {
-				bFrom := opt.From + span*sim.Time(c)/sim.Time(opt.Width)
-				bTo := opt.From + span*sim.Time(c+1)/sim.Time(opt.Width)
-				ovFrom, ovTo := from, to
-				if ovFrom < bFrom {
-					ovFrom = bFrom
-				}
-				if ovTo > bTo {
-					ovTo = bTo
-				}
-				if ovTo > ovFrom {
-					weights[c][o.label] += ovTo - ovFrom
-				}
-			}
-		}
-		row := make([]byte, opt.Width)
+		(opt.To-opt.From)/sim.Time(opt.Width))
+	row := make([]byte, opt.Width)
+	for cpu, w := range weights {
 		for c := range row {
 			best, bestW := byte('.'), sim.Time(0)
-			// Deterministic winner: iterate labels in sorted order.
-			labels := make([]int, 0, len(weights[c]))
-			for l := range weights[c] {
-				labels = append(labels, int(l))
-			}
-			sort.Ints(labels)
-			for _, l := range labels {
-				if w := weights[c][byte(l)]; w > bestW {
-					best, bestW = byte(l), w
+			if w != nil {
+				// Deterministic winner: iterate labels in sorted order.
+				for _, l := range slices.Sorted(maps.Keys(w[c])) {
+					if w[c][l] > bestW {
+						best, bestW = l, w[c][l]
+					}
 				}
 			}
 			row[c] = best

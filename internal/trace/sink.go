@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,10 +9,10 @@ import (
 	"hpcsched/internal/sim"
 )
 
-// Sink consumes trace records as the Recorder produces them. The in-memory
-// sink (NewRecorder) retains history for rendering; PRVSink streams Paraver
-// records to a writer; NullSink discards everything. All methods are called
-// on the simulation goroutine, in event order.
+// Sink consumes trace records as a Recorder built with NewRecorderWithSink
+// produces them: PRVSink streams Paraver records to a writer; NullSink
+// discards everything. Recorder.Replay feeds a retained history through
+// one. All methods are called on the simulation goroutine, in event order.
 type Sink interface {
 	// BeginTask announces a newly admitted task (its ID is assigned).
 	BeginTask(tt *TaskTrace)
@@ -24,18 +23,6 @@ type Sink interface {
 	// Finish marks the end of the trace at the given time.
 	Finish(end sim.Time)
 }
-
-// memorySink is the retaining sink behind NewRecorder: intervals go into
-// the task's chunk chain (drawn from the recorder-owned free list); prio
-// changes are already stored on the TaskTrace by the recorder.
-type memorySink struct{ r *Recorder }
-
-func (m memorySink) BeginTask(*TaskTrace) {}
-func (m memorySink) Interval(tt *TaskTrace, iv Interval) {
-	tt.appendInterval(iv, m.r.seq)
-}
-func (m memorySink) PrioChange(*TaskTrace, PrioChange) {}
-func (m memorySink) Finish(sim.Time)                   {}
 
 // NullSink drops every record: tracing runs at full fidelity (state
 // coalescing, filter, end-time tracking) with zero retention. The perf
@@ -61,27 +48,93 @@ func prvHeader(end sim.Time, cpus, tasks int) string {
 	return fmt.Sprintf(prvHeaderFmt, int64(end), cpus, tasks)
 }
 
+// prvReserved is the header line a streaming sink writes before the
+// totals are known.
+var prvReserved = prvHeader(0, 1, 0)
+
+// prvCodes maps a scheduling state to the digit of its Paraver state code
+// (0: not exported).
+var prvCodes = [...]byte{sched.StateRunning: '1', sched.StateSleeping: '3', sched.StateRunnable: '7'}
+
+// prvFormatter appends .prv state records "1:cpu:1:task:1:begin:end:state".
+// Recorder.ExportPRV and PRVSink both format through it, so the export and
+// the live stream cannot drift. A task's next interval almost always
+// begins where its last one ended, so the formatter remembers where each
+// task's last end time sits in the buffer and copies those digits instead
+// of formatting the number again.
+type prvFormatter struct {
+	last []prvEnd // by task ID − 1
+}
+
+// prvEnd locates a task's last end time in the buffer (n == 0: none).
+type prvEnd struct {
+	to     sim.Time
+	off, n int
+}
+
+// record appends to b the record of task id's interval iv (nothing for a
+// state without a Paraver code). b must be the buffer of the formatter's
+// previous records, or they must have been forgotten (clear(f.last)).
+func (f *prvFormatter) record(b []byte, id int, iv Interval) []byte {
+	var code byte
+	if uint(iv.State) < uint(len(prvCodes)) {
+		code = prvCodes[iv.State]
+	}
+	if code == 0 {
+		return b
+	}
+	b = append(b, '1', ':')
+	b = strconv.AppendInt(b, int64(iv.CPU+1), 10)
+	b = append(b, ':', '1', ':')
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, ':', '1', ':')
+	var last *prvEnd
+	if i := id - 1; i >= 0 && i < len(f.last) {
+		last = &f.last[i]
+	}
+	if last != nil && last.n > 0 && last.to == iv.From {
+		b = append(b, b[last.off:last.off+last.n]...)
+	} else {
+		b = strconv.AppendInt(b, int64(iv.From), 10)
+	}
+	b = append(b, ':')
+	off := len(b)
+	b = strconv.AppendInt(b, int64(iv.To), 10)
+	if last != nil {
+		*last = prvEnd{to: iv.To, off: off, n: len(b) - off}
+	}
+	return append(b, ':', code, '\n')
+}
+
+// prvRecordBound bounds the length of one record whose CPU, task ID and
+// times are non-negative and at most the given totals.
+func prvRecordBound(cpus, tasks int, end sim.Time) int {
+	digits := func(x int64) int { return len(strconv.FormatInt(x, 10)) }
+	return len("1::1::1:::x\n") + digits(int64(cpus)) + digits(int64(tasks)) + 2*digits(int64(end))
+}
+
+// prvFlushAt is the buffered size at which PRVSink writes its records out.
+const prvFlushAt = 1 << 16
+
 // PRVSink streams simplified Paraver state records to w as intervals
 // close, so a run can be traced to disk without retaining history. The
 // header is reserved at construction and patched in Finish, which is why w
-// must support Seek (an *os.File does; seekBuffer serves in-memory use).
+// must support Seek (an *os.File does).
 // Output is byte-identical to Recorder.ExportPRV over the same run.
 type PRVSink struct {
 	w        io.WriteSeeker
-	bw       *bufio.Writer
-	scratch  []byte
+	buf      []byte
+	f        prvFormatter
 	maxCPU   int
 	nTasks   int
 	finished bool
 	err      error
 }
 
-// NewPRVSink returns a streaming .prv sink over w, writing the reserved
-// header immediately.
+// NewPRVSink returns a streaming .prv sink over w; the reserved header
+// leads its first write.
 func NewPRVSink(w io.WriteSeeker) *PRVSink {
-	p := &PRVSink{w: w, bw: bufio.NewWriterSize(w, 1<<16), scratch: make([]byte, 0, 64)}
-	_, p.err = p.bw.WriteString(prvHeader(0, 1, 0))
-	return p
+	return &PRVSink{w: w, buf: append(make([]byte, 0, prvFlushAt+256), prvReserved...)}
 }
 
 // Err returns the first write or seek error the sink hit (records after an
@@ -93,20 +146,8 @@ func (p *PRVSink) BeginTask(tt *TaskTrace) {
 	if tt.ID > p.nTasks {
 		p.nTasks = tt.ID
 	}
-}
-
-// prvCode maps a scheduling state to its Paraver state code (0 = not
-// exported).
-func prvCode(s sched.State) int {
-	switch s {
-	case sched.StateRunning:
-		return 1
-	case sched.StateSleeping:
-		return 3
-	case sched.StateRunnable:
-		return 7
-	default:
-		return 0
+	for len(p.f.last) < tt.ID {
+		p.f.last = append(p.f.last, prvEnd{})
 	}
 }
 
@@ -115,23 +156,21 @@ func (p *PRVSink) Interval(tt *TaskTrace, iv Interval) {
 	if iv.CPU+1 > p.maxCPU {
 		p.maxCPU = iv.CPU + 1
 	}
-	code := prvCode(iv.State)
-	if code == 0 || p.err != nil {
+	if p.err != nil {
 		return
 	}
-	b := append(p.scratch[:0], '1', ':')
-	b = strconv.AppendInt(b, int64(iv.CPU+1), 10)
-	b = append(b, ':', '1', ':')
-	b = strconv.AppendInt(b, int64(tt.ID), 10)
-	b = append(b, ':', '1', ':')
-	b = strconv.AppendInt(b, int64(iv.From), 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(iv.To), 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(code), 10)
-	b = append(b, '\n')
-	p.scratch = b[:0]
-	_, p.err = p.bw.Write(b)
+	p.buf = p.f.record(p.buf, tt.ID, iv)
+	if len(p.buf) >= prvFlushAt {
+		p.flush()
+	}
+}
+
+// flush writes the buffered records out. The formatter's end-time
+// positions pointed into them, so they are forgotten.
+func (p *PRVSink) flush() {
+	_, p.err = p.w.Write(p.buf)
+	p.buf = p.buf[:0]
+	clear(p.f.last)
 }
 
 // PrioChange implements Sink (priority transitions are not part of the
@@ -146,13 +185,13 @@ func (p *PRVSink) Finish(end sim.Time) {
 	}
 	p.finished = true
 	if p.err == nil {
-		p.err = p.bw.Flush()
+		p.flush()
 	}
 	if p.err != nil {
 		return
 	}
 	header := prvHeader(end, p.maxCPU, p.nTasks)
-	if len(header) != len(prvHeader(0, 1, 0)) {
+	if len(header) != len(prvReserved) {
 		// Totals overflowed the reserved fixed-width fields; patching
 		// would overwrite the first record. Report instead of corrupting.
 		p.err = fmt.Errorf("trace: .prv header overflow (end=%d cpus=%d tasks=%d)",
@@ -167,46 +206,3 @@ func (p *PRVSink) Finish(end sim.Time) {
 	}
 	_, p.err = p.w.Seek(0, io.SeekEnd)
 }
-
-// seekBuffer is a minimal in-memory io.WriteSeeker backing ExportPRV and
-// the sink-equivalence tests.
-type seekBuffer struct {
-	b   []byte
-	off int
-}
-
-func (s *seekBuffer) Write(p []byte) (int, error) {
-	if need := s.off + len(p); need > len(s.b) {
-		if need <= cap(s.b) {
-			s.b = s.b[:need]
-		} else {
-			nb := make([]byte, need, need*2)
-			copy(nb, s.b)
-			s.b = nb
-		}
-	}
-	copy(s.b[s.off:], p)
-	s.off += len(p)
-	return len(p), nil
-}
-
-func (s *seekBuffer) Seek(offset int64, whence int) (int64, error) {
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = int64(s.off) + offset
-	case io.SeekEnd:
-		abs = int64(len(s.b)) + offset
-	default:
-		return 0, fmt.Errorf("trace: bad seek whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("trace: negative seek offset")
-	}
-	s.off = int(abs)
-	return abs, nil
-}
-
-func (s *seekBuffer) String() string { return string(s.b) }

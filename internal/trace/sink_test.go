@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,7 +113,7 @@ func TestReplayRequiresRetention(t *testing.T) {
 	rec.Replay(NullSink{})
 }
 
-// TestSeekBuffer covers the in-memory WriteSeeker backing ExportPRV.
+// TestSeekBuffer covers the in-memory WriteSeeker backing the tests.
 func TestSeekBuffer(t *testing.T) {
 	var b seekBuffer
 	if _, err := b.Write([]byte("hello world")); err != nil {
@@ -141,4 +144,76 @@ func head(s string, n int) string {
 		return s[:n] + "..."
 	}
 	return s
+}
+
+// seekBuffer is a minimal in-memory io.WriteSeeker backing the
+// sink-equivalence tests.
+type seekBuffer struct {
+	b   []byte
+	off int
+}
+
+func (s *seekBuffer) Write(p []byte) (int, error) {
+	if need := s.off + len(p); need > len(s.b) {
+		if need <= cap(s.b) {
+			s.b = s.b[:need]
+		} else {
+			nb := make([]byte, need, need*2)
+			copy(nb, s.b)
+			s.b = nb
+		}
+	}
+	copy(s.b[s.off:], p)
+	s.off += len(p)
+	return len(p), nil
+}
+
+func (s *seekBuffer) Seek(offset int64, whence int) (int64, error) {
+	var abs int64
+	switch whence {
+	case io.SeekStart:
+		abs = offset
+	case io.SeekCurrent:
+		abs = int64(s.off) + offset
+	case io.SeekEnd:
+		abs = int64(len(s.b)) + offset
+	default:
+		return 0, fmt.Errorf("trace: bad seek whence %d", whence)
+	}
+	if abs < 0 {
+		return 0, fmt.Errorf("trace: negative seek offset")
+	}
+	s.off = int(abs)
+	return abs, nil
+}
+
+func (s *seekBuffer) String() string { return string(s.b) }
+
+func (s *seekBuffer) Len() int { return len(s.b) }
+
+// TestExportPRVAnyGOMAXPROCS checks the range-parallel export: a log long
+// enough to be cut into up to four ranges gives the live stream's bytes at
+// every GOMAXPROCS.
+func TestExportPRVAnyGOMAXPROCS(t *testing.T) {
+	mem := NewRecorder()
+	var buf seekBuffer
+	live := NewRecorderWithSink(NewPRVSink(&buf))
+	sm, sl := newSynthTrace(3, 24), newSynthTrace(3, 24)
+	for i := 0; i < 8*exportRangeChunks*chunkCap; i++ {
+		sm.next(mem)
+		sl.next(live)
+	}
+	mem.Finish(sm.now)
+	live.Finish(sl.now)
+	if len(mem.log) < 4*exportRangeChunks {
+		t.Fatalf("log of %d chunks is too short to cut into four ranges", len(mem.log))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := mem.ExportPRV(); got != buf.String() {
+			t.Fatalf("GOMAXPROCS=%d: export (%d bytes) differs from the live stream (%d bytes)",
+				procs, len(got), buf.Len())
+		}
+	}
 }
