@@ -27,8 +27,8 @@ var goldenTables = []struct {
 
 // TestGoldenTableIII asserts byte-identical Table III output against the
 // pre-rewrite golden, twice in the same process: the second run proves no
-// cross-run state leaks through the event pool or the recycled rbtree
-// nodes. It also runs under -race in CI.
+// cross-run state leaks through the event pool or the reused run-queue
+// slices. It also runs under -race in CI.
 func TestGoldenTableIII(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_table3.txt"))
 	if err != nil {

@@ -73,9 +73,9 @@ func Measure(s Scenario, runs int) Measurement {
 		runs = 1
 	}
 	// Always warm up, even for single-run (-quick) measurements: the first
-	// run pays one-time costs (event-pool chunks, rbtree free-list priming,
-	// initial heap growth) that would otherwise pollute allocs/event and
-	// make quick CI reports look regressed against warmed multi-run ones.
+	// run pays one-time costs (event-pool chunks, initial heap growth)
+	// that would otherwise pollute allocs/event and make quick CI reports
+	// look regressed against warmed multi-run ones.
 	s.Run()
 	var (
 		events      uint64

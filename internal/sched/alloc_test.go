@@ -9,7 +9,7 @@ import (
 
 // allocKernel builds a kernel with two spinning tasks (compute/sleep
 // loops, one per core) and drives it to a warm steady state: event pool
-// primed, rbtree node pool primed, channels in rhythm.
+// primed, run-queue slices sized, channels in rhythm.
 func allocKernel(t testing.TB) *Kernel {
 	t.Helper()
 	engine := sim.NewEngine(42)
@@ -114,8 +114,8 @@ func TestKernelTickAllocFree(t *testing.T) {
 	}
 }
 
-// TestCFSEnqueueDequeueAllocFree bounds the CFS queue cycle: the rbtree
-// recycles its nodes, so a warm enqueue/dequeue pair allocates nothing.
+// TestCFSEnqueueDequeueAllocFree bounds the CFS queue cycle: the queue's
+// slice is presized, so a warm enqueue/dequeue pair allocates nothing.
 func TestCFSEnqueueDequeueAllocFree(t *testing.T) {
 	engine := sim.NewEngine(1)
 	chip := power5.NewChip(2, power5.NewCalibratedPerfModel())
@@ -128,7 +128,7 @@ func TestCFSEnqueueDequeueAllocFree(t *testing.T) {
 	k.setClass(task, fair)
 	task.cfs.init(task)
 
-	crq.Enqueue(task, false) // warm the node pool
+	crq.Enqueue(task, false) // warm up
 	crq.Dequeue(task)
 	allocs := testing.AllocsPerRun(1000, func() {
 		crq.Enqueue(task, false)
@@ -192,5 +192,32 @@ func TestTasksReturnsCopy(t *testing.T) {
 	cls[0] = nil
 	if k.classes[0] == nil {
 		t.Fatal("mutating Classes() result corrupted kernel state")
+	}
+}
+
+// TestCFSQueueCycleAllocFree pins the CFS queue's steady state at zero: the
+// presized slice absorbs a warm enqueue/dequeue/pick cycle over a few
+// tasks without growing.
+func TestCFSQueueCycleAllocFree(t *testing.T) {
+	k := NewKernel(sim.NewEngine(1), power5.NewChip(2, power5.NewCalibratedPerfModel()), Options{})
+	t.Cleanup(k.Shutdown)
+	rq := (&fairClass{}).NewRQ(k, 0).(*cfsRQ)
+	tasks := make([]*Task, 4)
+	for i := range tasks {
+		tasks[i] = &Task{PID: i + 1, Nice: i - 2}
+		tasks[i].cfs.init(tasks[i])
+	}
+	cycle := func() {
+		for i, x := range tasks {
+			x.SumExec += sim.Time(i+1) * sim.Millisecond
+			rq.Enqueue(x, i%2 == 0)
+		}
+		rq.Dequeue(tasks[2])
+		for rq.PickNext() != nil {
+		}
+	}
+	cycle() // warm up
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("CFS enqueue/dequeue/pick cycle allocates %.1f objects, want 0", allocs)
 	}
 }

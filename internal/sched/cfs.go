@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"hpcsched/internal/rbtree"
-	"hpcsched/internal/sim"
-)
+import "hpcsched/internal/sim"
 
 // niceToWeight is the kernel's prio_to_weight table: each nice step changes
 // the CPU share by ~10%.
@@ -24,7 +21,7 @@ const nice0Weight = 1024
 type cfsEntity struct {
 	vruntime    float64 // weighted virtual runtime, ns
 	weight      int64
-	node        *rbtree.Node[*Task]
+	queued      bool     // on its CPU's cfsRQ
 	lastSumExec sim.Time // SumExec mark for vruntime deltas
 	sliceStart  sim.Time // SumExec when the current slice began
 	relative    bool     // vruntime is relative after a migration
@@ -52,11 +49,7 @@ func (c *fairClass) Name() string       { return "fair" }
 func (c *fairClass) Policies() []Policy { return fairPolicies }
 
 func (c *fairClass) NewRQ(k *Kernel, cpu int) ClassRQ {
-	return &cfsRQ{
-		k:    k,
-		cpu:  cpu,
-		tree: rbtree.New[*Task](func(a, b *Task) bool { return a.cfs.vruntime < b.cfs.vruntime }),
-	}
+	return &cfsRQ{k: k, cpu: cpu, q: make([]*Task, 0, cfsQueueCapacity)}
 }
 
 func (c *fairClass) SelectCPU(k *Kernel, t *Task, wakeup bool) int {
@@ -99,17 +92,53 @@ func vruntimeDelta(t *Task) float64 {
 	return float64(d) * float64(nice0Weight) / float64(t.cfs.weight)
 }
 
-// cfsRQ is the per-CPU CFS run queue: a red-black tree ordered by vruntime.
+// cfsQueueCapacity presizes each CFS queue past the handful of tasks a
+// CPU here holds (one or two nearly all the time), so steady-state churn
+// never grows the slice.
+const cfsQueueCapacity = 8
+
+// cfsRQ is the per-CPU CFS run queue: the queued tasks in ascending
+// vruntime order, equal vruntimes in arrival order (the kernel's rbtree
+// inserts a tie to the right), so q[0] is the leftmost task.
 type cfsRQ struct {
 	k           *Kernel
 	cpu         int
-	tree        *rbtree.Tree[*Task]
+	q           []*Task
 	minVruntime float64
 	weightSum   int64 // of queued tasks
 }
 
+// insert places t after every queued task whose vruntime is not larger.
+// The scan runs from the tail, where a requeued or woken task usually
+// lands.
+func (rq *cfsRQ) insert(t *Task) {
+	i := len(rq.q)
+	for i > 0 && t.cfs.vruntime < rq.q[i-1].cfs.vruntime {
+		i--
+	}
+	rq.q = append(rq.q, nil)
+	copy(rq.q[i+1:], rq.q[i:])
+	rq.q[i] = t
+	t.cfs.queued = true
+	rq.weightSum += t.cfs.weight
+}
+
+// remove takes t off the queue; it must be queued.
+func (rq *cfsRQ) remove(t *Task) {
+	i := 0
+	for rq.q[i] != t {
+		i++
+	}
+	n := len(rq.q) - 1
+	copy(rq.q[i:], rq.q[i+1:])
+	rq.q[n] = nil // drop the stale tail reference
+	rq.q = rq.q[:n]
+	t.cfs.queued = false
+	rq.weightSum -= t.cfs.weight
+}
+
 func (rq *cfsRQ) Enqueue(t *Task, wakeup bool) {
-	if t.cfs.node != nil {
+	if t.cfs.queued {
 		panic("sched: CFS double enqueue")
 	}
 	if t.cfs.relative {
@@ -131,28 +160,22 @@ func (rq *cfsRQ) Enqueue(t *Task, wakeup bool) {
 		// Fresh task: start at the current minimum.
 		t.cfs.vruntime = rq.minVruntime
 	}
-	t.cfs.node = rq.tree.Insert(t)
-	rq.weightSum += t.cfs.weight
+	rq.insert(t)
 }
 
 func (rq *cfsRQ) Dequeue(t *Task) {
-	if t.cfs.node == nil {
+	if !t.cfs.queued {
 		panic("sched: CFS dequeue of unqueued task")
 	}
-	rq.tree.Delete(t.cfs.node)
-	t.cfs.node = nil
-	rq.weightSum -= t.cfs.weight
+	rq.remove(t)
 }
 
 func (rq *cfsRQ) PickNext() *Task {
-	n := rq.tree.Min()
-	if n == nil {
+	if len(rq.q) == 0 {
 		return nil
 	}
-	t := n.Item
-	rq.tree.Delete(n)
-	t.cfs.node = nil
-	rq.weightSum -= t.cfs.weight
+	t := rq.q[0]
+	rq.remove(t)
 	if t.cfs.vruntime > rq.minVruntime {
 		rq.minVruntime = t.cfs.vruntime
 	}
@@ -164,7 +187,7 @@ func (rq *cfsRQ) PickNext() *Task {
 // scheduling latency proportional to its weight, floored by the minimum
 // granularity, with the period stretched when many tasks are runnable.
 func (rq *cfsRQ) sliceFor(t *Task) sim.Time {
-	nr := rq.tree.Len() + 1
+	nr := len(rq.q) + 1
 	period := rq.k.Opts.CFSLatency
 	if minp := sim.Time(nr) * rq.k.Opts.CFSMinGranularity; minp > period {
 		period = minp
@@ -182,8 +205,8 @@ func (rq *cfsRQ) sliceFor(t *Task) sim.Time {
 // update_curr's min_vruntime maintenance.
 func (rq *cfsRQ) updateMin(currVruntime float64) {
 	cand := currVruntime
-	if m := rq.tree.Min(); m != nil && m.Item.cfs.vruntime < cand {
-		cand = m.Item.cfs.vruntime
+	if len(rq.q) > 0 && rq.q[0].cfs.vruntime < cand {
+		cand = rq.q[0].cfs.vruntime
 	}
 	if cand > rq.minVruntime {
 		rq.minVruntime = cand
@@ -193,7 +216,7 @@ func (rq *cfsRQ) updateMin(currVruntime float64) {
 func (rq *cfsRQ) Tick(t *Task) {
 	t.cfs.vruntime += vruntimeDelta(t)
 	rq.updateMin(t.cfs.vruntime)
-	if rq.tree.Len() == 0 {
+	if len(rq.q) == 0 {
 		return // nothing to be fair to
 	}
 	ran := t.SumExec - t.cfs.sliceStart
@@ -203,10 +226,8 @@ func (rq *cfsRQ) Tick(t *Task) {
 	}
 	// Also preempt when the leftmost queued task has fallen far behind
 	// (check_preempt_tick's second clause).
-	if m := rq.tree.Min(); m != nil {
-		if t.cfs.vruntime-m.Item.cfs.vruntime > float64(rq.sliceFor(t)) {
-			rq.k.Resched(rq.cpu)
-		}
+	if t.cfs.vruntime-rq.q[0].cfs.vruntime > float64(rq.sliceFor(t)) {
+		rq.k.Resched(rq.cpu)
 	}
 }
 
@@ -222,7 +243,7 @@ func (rq *cfsRQ) Tick(t *Task) {
 // after Tick ran, lastUpdate is the present and the vruntime is current,
 // so every increment spans one period.
 func (rq *cfsRQ) TickNoops(t *Task) int {
-	if rq.tree.Len() == 0 {
+	if len(rq.q) == 0 {
 		return tickNoopsForever // nothing to be fair to: Tick never reschedules
 	}
 	p := rq.k.Opts.TickPeriod
@@ -239,7 +260,7 @@ func (rq *cfsRQ) TickNoops(t *Task) int {
 	if n > ticklessParkCap {
 		n = ticklessParkCap // no point iterating past the kernel's cap
 	}
-	m := rq.tree.Min().Item.cfs.vruntime
+	m := rq.q[0].cfs.vruntime
 	limit := float64(slice)
 	first := t.SumExec - t.cfs.lastSumExec + next - t.lastUpdate
 	delta := float64(p) * float64(nice0Weight) / float64(t.cfs.weight)
@@ -290,23 +311,22 @@ func (rq *cfsRQ) CheckPreempt(curr, woken *Task) bool {
 	return curr.cfs.vruntime-woken.cfs.vruntime > gran
 }
 
-func (rq *cfsRQ) Len() int { return rq.tree.Len() }
+func (rq *cfsRQ) Len() int { return len(rq.q) }
 
 func (rq *cfsRQ) Steal(dstCPU int) *Task {
 	// Steal the task least likely to run soon: the largest vruntime among
 	// migratable, non-cache-hot tasks. Hotness goes through BalanceCacheHot
 	// so a failed pass feeds the idle-balance negative-result cache.
 	var victim *Task
-	rq.tree.Ascend(func(t *Task) bool {
+	for _, t := range rq.q {
 		if t.MayRunOn(dstCPU) && !rq.k.BalanceCacheHot(t) {
 			victim = t // keep the last (largest vruntime) migratable task
 		}
-		return true
-	})
+	}
 	if victim == nil {
 		return nil
 	}
-	rq.Dequeue(victim)
+	rq.remove(victim)
 	// Renormalise vruntime relative to this queue; the destination adds
 	// its own minimum back on the next enqueue.
 	victim.cfs.vruntime -= rq.minVruntime

@@ -17,13 +17,11 @@
 // unrelated recycled event may be cancelled in its place. Every holder in
 // this repository follows that discipline (see sched.Task.finishEv).
 //
-// The pending-event store has two tiers: a hierarchical timer wheel
-// (wheel.go) absorbs every deadline within ~17 s of the clock — scheduler
-// ticks and RR re-arms through Reschedule, burst completions, message
-// deliveries, same-instant scheduling passes — at O(1) per operation, and
-// a flat 4-ary indexed min-heap holds the rare far-future deadlines.
-// Step/Run take the global (at, seq) minimum across the two, so firing
-// order is identical to a single heap.
+// The pending-event store is one flat 4-ary indexed min-heap over
+// (at, seq). The model keeps it small — a node's engine holds a few
+// events per CPU (its tick, a burst completion, a message delivery, a
+// noise daemon's next cycle) — so a push or pop walks three or four levels
+// of one contiguous array, and Step/Run read the minimum at the top.
 package sim
 
 import (
@@ -66,12 +64,10 @@ type Event struct {
 	seq      uint64
 	schedAt  Time // instant the event was (re)armed — see FiringScheduledAt
 	do       func()
-	index    int32 // position in the overflow heap, -1 when not in the heap
-	slot     int32 // level<<8|slot in the timer wheel, -1 when not in the wheel
+	index    int32 // position in the heap, -1 when not pending
 	canceled bool
 	pooled   bool   // on the free list (dead until reacquired)
-	next     *Event // free-list link while pooled, slot-list link while wheeled
-	prev     *Event // slot-list back link (O(1) unlink for Cancel/Reschedule)
+	next     *Event // free-list link while pooled
 }
 
 // At returns the virtual time the event is (or was) scheduled for.
@@ -81,13 +77,13 @@ func (e *Event) At() Time { return e.at }
 // until the engine recycles the event for a later Schedule.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// queued reports whether the event sits in either tier (wheel or heap).
-func (e *Event) queued() bool { return e.index >= 0 || e.slot >= 0 }
+// queued reports whether the event sits in the heap.
+func (e *Event) queued() bool { return e.index >= 0 }
 
-// initialQueueCapacity pre-sizes the overflow heap so simulations with many
-// far-future deadlines never grow it; poolChunk is how many events each pool
-// refill allocates in one contiguous block (good locality, amortised
-// allocation).
+// initialQueueCapacity pre-sizes the heap well past the few dozen events
+// a node's engine holds at its peak, so a simulation never grows it;
+// poolChunk is how many events each pool refill allocates in one
+// contiguous block (good locality, amortised allocation).
 const (
 	initialQueueCapacity = 256
 	poolChunk            = 128
@@ -99,8 +95,7 @@ const (
 // the proc package, so this is never a limitation in practice).
 type Engine struct {
 	now      Time
-	wheel    timerWheel
-	heap     eventQueue // far-future overflow (beyond the wheel horizon)
+	heap     eventQueue
 	seq      uint64
 	rng      *RNG
 	stopped  bool
@@ -143,7 +138,6 @@ func (e *Engine) acquire() *Event {
 		chunk := make([]Event, poolChunk)
 		for i := range chunk {
 			chunk[i].index = -1
-			chunk[i].slot = -1
 			chunk[i].pooled = true
 			chunk[i].next = e.free
 			e.free = &chunk[i]
@@ -152,11 +146,9 @@ func (e *Engine) acquire() *Event {
 	ev := e.free
 	e.free = ev.next
 	ev.next = nil
-	ev.prev = nil
 	ev.pooled = false
 	ev.canceled = false
 	ev.index = -1
-	ev.slot = -1
 	return ev
 }
 
@@ -183,27 +175,6 @@ func (e *Engine) FiringScheduledAt() Time { return e.firingAt }
 // RNG returns the engine's deterministic random number generator.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// enqueue routes ev to its tier: the timer wheel when the deadline lies
-// within the wheel horizon of the wheel reference, the overflow heap
-// otherwise.
-func (e *Engine) enqueue(ev *Event) {
-	diff := uint64(ev.at ^ e.wheel.time)
-	if diff>>wheelHorizonBits == 0 {
-		e.wheel.insertDiff(ev, diff)
-	} else {
-		e.heap.push(ev)
-	}
-}
-
-// dequeue removes a pending event from whichever tier holds it.
-func (e *Engine) dequeue(ev *Event) {
-	if ev.slot >= 0 {
-		e.wheel.remove(ev)
-	} else {
-		e.heap.remove(int(ev.index))
-	}
-}
-
 // Schedule registers do to run at virtual time at. Scheduling in the past
 // (at < Now) panics: it always indicates a model bug, and silently clamping
 // would mask it. Scheduling exactly at Now is allowed and the event runs
@@ -222,7 +193,7 @@ func (e *Engine) Schedule(at Time, do func()) *Event {
 	ev.seq = e.seq
 	ev.schedAt = e.now
 	ev.do = do
-	e.enqueue(ev)
+	e.heap.push(ev)
 	return ev
 }
 
@@ -251,15 +222,13 @@ func (e *Engine) SchedulePeriodic(at, period Time, do func()) *Event {
 // it orders after everything already scheduled for the same instant.
 // Periodic work (scheduler ticks, load-balance timers) re-arms one event
 // from its own callback instead of allocating an event and a closure per
-// period. Re-arming from the callback hits the wheel's O(1) insert: the
-// event was just removed, the reference time equals the firing instant, and
-// any periodic deadline within the horizon lands in a slot directly.
+// period. A pending event is re-keyed in place; a mid-fire one was already
+// popped, so re-arming it is one heap push.
 //
-// ev may be pending (it is moved between tiers as needed) or mid-fire (its
-// callback is running: it is re-queued and will not be recycled when the
-// callback returns). It must not be dead — fired without re-arming, or
-// cancelled — since dead events are recycled and may already back an
-// unrelated Schedule.
+// ev may be pending or mid-fire (its callback is running: it is re-queued
+// and will not be recycled when the callback returns). It must not be
+// dead — fired without re-arming, or cancelled — since dead events are
+// recycled and may already back an unrelated Schedule.
 func (e *Engine) Reschedule(ev *Event, at Time) {
 	if ev == nil || ev.pooled || ev.do == nil {
 		panic("sim: Reschedule of a dead (fired or cancelled) event")
@@ -269,13 +238,14 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 	}
 	e.seq++
 	e.scheduled++
-	if ev.queued() {
-		e.dequeue(ev)
-	}
 	ev.at = at
 	ev.seq = e.seq
 	ev.schedAt = e.now
-	e.enqueue(ev)
+	if ev.queued() {
+		e.heap.fix(int(ev.index))
+	} else {
+		e.heap.push(ev)
+	}
 }
 
 // Cancel removes a pending event. Returns true if the event was pending and
@@ -291,52 +261,45 @@ func (e *Engine) Cancel(ev *Event) bool {
 		return false
 	}
 	ev.canceled = true
-	e.dequeue(ev)
+	e.heap.remove(int(ev.index))
 	e.cancelled++
 	e.release(ev)
 	return true
 }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.wheel.count + len(e.heap.items) }
+func (e *Engine) Pending() int { return len(e.heap.items) }
 
-// findMin returns the earliest pending event across both tiers — wheel
-// levels are strictly ordered among themselves, so this is one wheel
-// lookup plus one (at, seq) comparison against the heap top — or nil.
+// findMin returns the earliest pending event, the heap top, or nil.
 func (e *Engine) findMin() *Event {
-	ev := e.wheel.min()
-	if len(e.heap.items) > 0 {
-		top := e.heap.items[0].ev
-		if ev == nil || eventLess(top, ev) {
-			ev = top
-		}
+	if len(e.heap.items) == 0 {
+		return nil
 	}
-	return ev
+	return e.heap.items[0].ev
 }
 
 // NextEventAt reports the earliest instant at which this engine can next
-// act: the minimum pending deadline across both tiers (wheel minimum,
-// heap top), or MaxTime when the engine is drained. It is the
+// act: the minimum pending deadline (the heap top's), or MaxTime when the
+// engine is drained. It is the
 // conservative-lookahead probe for PDES pacing (internal/cluster): between
 // events every rank body is parked in a blocking call with its
 // deferred-step queue flushed, so any future cross-engine send must
-// originate from an event at or after this instant. Cost is a bitmap scan
-// of the wheel's lowest occupied level plus a direct load of the heap top.
+// originate from an event at or after this instant. Cost is one load of
+// the heap top.
 func (e *Engine) NextEventAt() Time {
-	if ev := e.findMin(); ev != nil {
-		return ev.at
+	if len(e.heap.items) == 0 {
+		return MaxTime
 	}
-	return MaxTime
+	return e.heap.items[0].at
 }
 
-// fire removes ev (the global minimum) from its tier, advances the clock
-// and the wheel reference to its deadline, and runs the callback.
+// fire pops ev (the heap top), advances the clock to its deadline, and
+// runs the callback.
 func (e *Engine) fire(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
-	e.dequeue(ev)
-	e.wheel.advance(ev.at)
+	e.heap.remove(0)
 	e.now = ev.at
 	e.fired++
 	e.firingAt = ev.schedAt
@@ -499,7 +462,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // ---------------------------------------------------------------------------
-// Flat 4-ary indexed min-heap (far-future overflow tier)
+// Flat 4-ary indexed min-heap
 // ---------------------------------------------------------------------------
 
 // eventQueue is a hand-rolled 4-ary min-heap over (at, seq), replacing
@@ -508,16 +471,15 @@ func (e *Engine) Stats() Stats {
 // are stored inline in the heap slots, so sift comparisons scan a
 // contiguous array instead of chasing *Event pointers into the pool —
 // the four children of a node live on two cache lines, not four.
-// The heap is indexed (each event knows its slot) so Cancel removes in
-// O(log₄ n) without a search. Since the timer wheel absorbs every deadline
-// within its horizon, the heap only sees genuinely far-future events and
-// stays small.
+// The heap is indexed (each event knows its slot) so Cancel and
+// Reschedule find a pending event in O(1) and restore the order in
+// O(log₄ n) without a search.
 type eventQueue struct {
 	items []heapItem
 }
 
 // heapItem is one heap slot: the ordering key, denormalised from the
-// event (Reschedule keeps both copies in sync via the event's index).
+// event (fix refreshes it when Reschedule re-keys a pending event).
 type heapItem struct {
 	at  Time
 	seq uint64
@@ -551,14 +513,26 @@ func (q *eventQueue) remove(i int) {
 		q.items = items[:last]
 		// The replacement came from the bottom; restore the heap in
 		// whichever direction it violates the invariant.
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
+		q.restore(i)
 	} else {
 		items[last] = heapItem{}
 		q.items = items[:last]
 	}
 	ev.index = -1
+}
+
+// fix re-keys slot i from its event after Reschedule changed (at, seq).
+func (q *eventQueue) fix(i int) {
+	it := &q.items[i]
+	it.at, it.seq = it.ev.at, it.ev.seq
+	q.restore(i)
+}
+
+// restore moves slot i down or up to where its key belongs.
+func (q *eventQueue) restore(i int) {
+	if !q.siftDown(i) {
+		q.siftUp(i)
+	}
 }
 
 func (q *eventQueue) siftUp(i int) {

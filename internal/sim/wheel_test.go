@@ -1,30 +1,46 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
-// TestWheelRouting pins the two-tier routing rule: deadlines within the
-// wheel horizon of the reference time go to the wheel, everything further
-// out to the overflow heap.
+// TestWheelRouting checks that near, mid and beyond-17 s deadlines —
+// the spans the store once split between a timer wheel and an overflow
+// heap — fire in (at, seq) order, whatever order they were scheduled in.
 func TestWheelRouting(t *testing.T) {
 	e := NewEngine(1)
-	near := e.Schedule(5, func() {})
-	mid := e.Schedule(1<<20, func() {})
-	far := e.Schedule(1<<wheelHorizonBits, func() {}) // beyond the horizon
-	if near.slot < 0 || near.index >= 0 {
-		t.Fatalf("near event not in the wheel: slot=%d index=%d", near.slot, near.index)
+	var order []string
+	sched := func(at Time, name string) {
+		e.Schedule(at, func() { order = append(order, name) })
 	}
-	if mid.slot < 0 {
-		t.Fatalf("mid event not in the wheel: slot=%d index=%d", mid.slot, mid.index)
+	far := Time(1) << wheelHorizonBits // beyond the old horizon
+	sched(far, "far")
+	sched(1<<20, "mid")
+	sched(5, "near")
+	sched(far, "far2")   // same instant as far, later seq
+	sched(1<<20, "mid2") // same instant as mid, later seq
+	sched(5, "near2")
+	if e.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6", e.Pending())
 	}
-	if far.slot >= 0 || far.index < 0 {
-		t.Fatalf("far event not in the heap: slot=%d index=%d", far.slot, far.index)
+	if got := e.NextEventAt(); got != 5 {
+		t.Fatalf("NextEventAt = %v, want 5", got)
 	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
+	e.RunUntilIdle()
+	want := []string{"near", "near2", "mid", "mid2", "far", "far2"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if e.Now() != far {
+		t.Fatalf("Now = %v, want %v", e.Now(), far)
 	}
 }
 
@@ -84,38 +100,48 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 	}
 }
 
-// TestWheelRescheduleAcrossTiers re-arms one event back and forth between
-// the wheel and the heap, pending and mid-fire, and checks every hop.
+// TestWheelRescheduleAcrossTiers re-arms events back and forth across the
+// old 17 s wheel horizon, both while pending and mid-fire, and checks each
+// fires once, at its last deadline, in (at, seq) order: a re-arm draws a
+// fresh seq, so it orders after every event already set for that instant.
 func TestWheelRescheduleAcrossTiers(t *testing.T) {
 	e := NewEngine(1)
-	fired := 0
-	ev := e.Schedule(10, func() { fired++ })
-	if ev.slot < 0 {
-		t.Fatal("event should start in the wheel")
+	far := Time(1)<<wheelHorizonBits + 5
+	var order []string
+	sched := func(at Time, name string) *Event {
+		return e.Schedule(at, func() { order = append(order, fmt.Sprintf("%s@%d", name, e.Now())) })
 	}
-	e.Reschedule(ev, Time(1)<<wheelHorizonBits+5) // pending: wheel → heap
-	if ev.slot >= 0 || ev.index < 0 {
-		t.Fatalf("after far reschedule: slot=%d index=%d", ev.slot, ev.index)
-	}
-	e.Reschedule(ev, 20) // pending: heap → wheel
-	if ev.slot < 0 || ev.index >= 0 {
-		t.Fatalf("after near reschedule: slot=%d index=%d", ev.slot, ev.index)
-	}
-	// Mid-fire re-arm into the heap, then drain.
+	sched(far, "f")
+	sched(20, "a")
+	ev := sched(10, "ev")
+	e.Reschedule(ev, far) // pending: across the horizon, ties with f
+	e.Reschedule(ev, 20)  // pending: back, ties with a
+	sched(40, "b")
 	hops := 0
 	var periodic *Event
 	periodic = e.Schedule(30, func() {
+		order = append(order, fmt.Sprintf("p@%d", e.Now()))
 		hops++
-		if hops == 1 {
+		switch hops {
+		case 1: // mid-fire: out past the horizon, then back while pending
 			e.Reschedule(periodic, e.Now()+Time(1)<<wheelHorizonBits+1)
-			if periodic.index < 0 {
-				t.Fatal("mid-fire far re-arm did not land in the heap")
-			}
+			e.Reschedule(periodic, 40) // ties with b
+		case 2: // mid-fire: out to f's deadline
+			e.Reschedule(periodic, far)
 		}
 	})
-	e.RunUntilIdle()
-	if fired != 1 || hops != 2 {
-		t.Fatalf("fired=%d hops=%d, want 1 and 2", fired, hops)
+	if n := e.RunUntilIdle(); n != 7 {
+		t.Fatalf("fired %d events (%v), want 7", n, order)
+	}
+	want := []string{"a@20", "ev@20", "p@30", "b@40", "p@40",
+		fmt.Sprintf("f@%d", far), fmt.Sprintf("p@%d", far)}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if e.Pending() != 0 || e.Now() != far {
+		t.Fatalf("Pending = %d, Now = %v; want 0 and %v", e.Pending(), e.Now(), far)
 	}
 }
 
